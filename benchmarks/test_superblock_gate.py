@@ -1,24 +1,14 @@
 """Benchmark gate: the superblock tier beats per-block compiled dispatch.
 
-Three experiments, landing under ``superblocks`` in
-``BENCH_pipeline.json``:
+One experiment, landing under ``superblocks`` in ``BENCH_pipeline.json``:
+the **original-binary matrix column** -- the rtl8029 workload catalog on
+the source-OS harness, compiled per-block vs compiled+superblocks (and
+the per-step interpreter for the overall-tier ratio).  Same
+observations; superblocks strictly faster than compiled-only and at
+least 1.5x over per-step decode.
 
-* **original-binary matrix column** -- the rtl8029 workload catalog on
-  the source-OS harness, compiled per-block vs compiled+superblocks
-  (and the per-step interpreter for the overall-tier ratio).  Same
-  observations; superblocks strictly faster than compiled-only and at
-  least 1.5x over per-step decode;
-* **synthesized-driver run** -- the rtl8139 artifact in the winsim
-  template, compiled-only vs compiled+superblocks.  Same behaviour and
-  perf counters; superblocks strictly faster;
-* **cold vs warm start** -- the same synthesized run against a scratch
-  persistent code cache: a cold process generates and persists every
-  source, a warm one imports instead of regenerating (gated on the
-  codecache counters, recorded as the wall-clock delta).
-
-Both steady-state timings warm the chains up before the measured runs:
-formation and compile cost is a one-time cold-start cost, measured
-separately by the third experiment rather than smeared into the
+The timing warms the chains up before the measured runs: formation and
+compile cost is a one-time cold-start cost, not part of the
 steady-state gate.
 """
 
@@ -26,20 +16,10 @@ import json
 import os
 import time
 
-from repro.drivers import device_class
-from repro.ir import codecache
-from repro.ir import compile as ircompile
-from repro.ir import superblock
-from repro.net import UdpWorkload
-from repro.targetos import TARGET_OSES
-from repro.templates import DmaNicTemplate
 from repro.validate.observe import OriginalDut
 from repro.validate.scenarios import SCENARIOS, run_scenario
 
 _REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-MAC = b"\x52\x54\x00\xAA\xBB\xCC"
-PEER = b"\x02\x00\x00\x00\x00\x01"
 
 #: Accumulated across the tests in this module; merged into the bench
 #: report as each test completes, so partial runs still record.
@@ -102,8 +82,8 @@ def _run_column(backend, superblocks=False):
 
 
 def test_matrix_column_superblocks_faster(cache):
-    # Warm-up: form chains, compile and persist every source once, so
-    # the timed runs measure steady-state dispatch only.
+    # Warm-up: form chains and compile every source once, so the timed
+    # runs measure steady-state dispatch only.
     _run_column("compiled", superblocks=True)
     _run_column("compiled", superblocks=False)
     stepped, obs_step = _best_of(2, lambda: _run_column("step"))
@@ -135,110 +115,3 @@ def test_matrix_column_superblocks_faster(cache):
         "superblock tier (%.3fs) below 1.5x over per-step decode " \
         "(%.3fs)" % (fused, stepped)
 
-
-def _run_synthesized(artifact, superblocks, packets=60):
-    target = TARGET_OSES["winsim"](device_class(artifact.name), mac=MAC)
-    template = DmaNicTemplate(artifact.synthesized, target,
-                              original_image=artifact.image,
-                              exec_backend="compiled",
-                              exec_superblocks=superblocks)
-    template.initialize()
-    tx = UdpWorkload(MAC, PEER, 256)
-    statuses = [template.send(tx.next_frame().to_bytes())
-                for _ in range(packets)]
-    rx = UdpWorkload(PEER, MAC, 128)
-    delivered = []
-    for _ in range(8):
-        delivered.extend(template.inject_rx(rx.next_frame().to_bytes()))
-    env = template.runtime.env
-    return {
-        "statuses": statuses,
-        "wire": [f.hex() for f in target.medium.transmitted],
-        "delivered": [f.hex() for f in delivered],
-        "instrs_retired": env.instrs_retired,
-        "ops_retired": env.ops_retired,
-        "io_ops": env.io_ops,
-        "irq_count": target.irq_count,
-    }
-
-
-def test_synthesized_rtl8139_run_superblocks_faster(cache):
-    artifact = cache.run("rtl8139")
-    _run_synthesized(artifact, True)
-    _run_synthesized(artifact, False)
-    timings, outputs = _race(7, {
-        "off": lambda: _run_synthesized(artifact, False),
-        "on": lambda: _run_synthesized(artifact, True),
-    })
-    compiled, fused = timings["off"], timings["on"]
-    out_off, out_on = outputs["off"], outputs["on"]
-    assert out_off == out_on, \
-        "superblock tier changed synthesized-driver behaviour or counters"
-    _RECORD["synthesized_run"] = {
-        "driver": "rtl8139",
-        "target_os": "winsim",
-        "packets": 60,
-        "compiled_seconds": round(compiled, 3),
-        "superblock_seconds": round(fused, 3),
-        "speedup_vs_compiled": round(compiled / fused, 2),
-    }
-    _update_bench()
-    assert fused < compiled, \
-        "compiled+superblocks (%.3fs) not faster than compiled-only " \
-        "(%.3fs)" % (fused, compiled)
-
-
-def _fresh_process():
-    """Drop every in-process code cache, as a new python process would:
-    the persistent store handles (and hint memo) plus the shared
-    compiled-program and chain caches."""
-    codecache.forget_stores()
-    ircompile._SHARED_PROGRAMS.clear()
-    superblock._SHARED_CHAINS.clear()
-
-
-def test_cold_start_warm_import(cache, tmp_path, monkeypatch):
-    """A warm process imports persisted sources instead of regenerating;
-    chain hints re-form superblocks without re-profiling.  Measured on
-    the matrix column -- the biggest codegen surface (hundreds of block
-    and chain sources), where the cold-start delta is visible."""
-    monkeypatch.setenv(codecache.CODE_CACHE_ENV,
-                       str(tmp_path / "codegen"))
-
-    _fresh_process()
-    before = codecache.codecache_counters()
-    started = time.perf_counter()
-    out_cold = _run_column("compiled", superblocks=True)
-    cold_seconds = time.perf_counter() - started
-    mid = codecache.codecache_counters()
-    cold = {key: mid[key] - before[key] for key in mid}
-    assert cold["generated"] > 0 and cold["persisted"] > 0
-    assert cold["imported"] == 0
-
-    _fresh_process()
-    started = time.perf_counter()
-    out_warm = _run_column("compiled", superblocks=True)
-    warm_seconds = time.perf_counter() - started
-    after = codecache.codecache_counters()
-    warm = {key: after[key] - mid[key] for key in after}
-    assert out_cold == out_warm, \
-        "a warm import changed observable behaviour"
-    assert warm["generated"] < cold["generated"], \
-        "warm process regenerated as much as the cold one"
-    assert warm["imported"] > 0 and warm["hints"] > 0, \
-        "warm process did not import persisted sources or chain hints"
-
-    _RECORD["cold_start"] = {
-        "driver": "rtl8029",
-        "side": "original-binary",
-        "scenarios": len(SCENARIOS),
-        "cold_seconds": round(cold_seconds, 3),
-        "warm_seconds": round(warm_seconds, 3),
-        "cold_start_reduction": round(cold_seconds / warm_seconds, 2),
-        "cold_generated": cold["generated"],
-        "cold_persisted": cold["persisted"],
-        "warm_generated": warm["generated"],
-        "warm_imported": warm["imported"],
-        "warm_hints": warm["hints"],
-    }
-    _update_bench()

@@ -4,17 +4,14 @@
 The superblock-tier contract (``repro.ir.superblock``): fusing hot block
 chains changes wall time only.  This script builds, twice -- once with
 ``REVNIC_SUPERBLOCKS=off``, once ``on`` -- a canonical JSON document
-covering every consumer of the execution tiers:
+covering both sides the setting could reach:
 
 * the **pipeline artifact** -- a cold reverse-engineering run's
-  :class:`RunArtifact` canonical JSON (the symex concrete fast path
-  rides the persistent code cache; superblocks never fuse pipeline
+  :class:`RunArtifact` canonical JSON (superblocks never fuse pipeline
   blocks, so this must be bit-for-bit stable);
 * the **matrix column** -- the original binary's observations over the
-  whole workload catalog on the compiled DBT tier, where hot chains
-  actually dispatch;
-* the **synthesized run** -- the recovered driver in the winsim
-  template, the static-flavour consumer.
+  whole workload catalog on the compiled DBT tier, the one consumer
+  where hot chains actually dispatch.
 
 Any divergence prints the first differing canonical path and exits 1;
 a run where the on-side never dispatched a chain is vacuous and also
@@ -39,17 +36,11 @@ import time
 
 from repro.drivers import DRIVERS, build_driver, device_class
 from repro.ir.superblock import SUPERBLOCKS_ENV, superblock_counters
-from repro.net import UdpWorkload
 from repro.pipeline.artifact import build_artifact, canonical_json
 from repro.revnic import RevNic, RevNicConfig
 from repro.synth import synthesize
-from repro.targetos import TARGET_OSES
-from repro.templates import DmaNicTemplate
 from repro.validate.observe import OriginalDut
 from repro.validate.scenarios import SCENARIOS, run_scenario
-
-MAC = b"\x52\x54\x00\xAA\xBB\xCC"
-PEER = b"\x02\x00\x00\x00\x00\x01"
 
 
 def run_matrix_column(name):
@@ -60,32 +51,6 @@ def run_matrix_column(name):
         dut = OriginalDut(name, exec_backend="compiled")
         observations.append(run_scenario(dut, scenario).to_dict())
     return observations
-
-
-def run_synthesized(artifact, packets=20):
-    """The synthesized driver in the winsim template (static flavour)."""
-    target = TARGET_OSES["winsim"](device_class(artifact.name), mac=MAC)
-    template = DmaNicTemplate(artifact.synthesized, target,
-                              original_image=artifact.image,
-                              exec_backend="compiled")
-    template.initialize()
-    tx = UdpWorkload(MAC, PEER, 256)
-    statuses = [template.send(tx.next_frame().to_bytes())
-                for _ in range(packets)]
-    rx = UdpWorkload(PEER, MAC, 128)
-    delivered = []
-    for _ in range(4):
-        delivered.extend(template.inject_rx(rx.next_frame().to_bytes()))
-    env = template.runtime.env
-    return {
-        "statuses": statuses,
-        "wire": [f.hex() for f in target.medium.transmitted],
-        "delivered": [f.hex() for f in delivered],
-        "instrs_retired": env.instrs_retired,
-        "ops_retired": env.ops_retired,
-        "io_ops": env.io_ops,
-        "irq_count": target.irq_count,
-    }
 
 
 def run_once(name, script, superblocks):
@@ -100,7 +65,6 @@ def run_once(name, script, superblocks):
     document = {
         "artifact": json.loads(canonical_json(artifact)),
         "matrix_column": run_matrix_column(name),
-        "synthesized_run": run_synthesized(artifact),
     }
     elapsed = time.perf_counter() - started
     return json.dumps(document, indent=1, sort_keys=True), elapsed

@@ -19,8 +19,6 @@ per-block path resumes.  Concretely:
   the caller's remaining budget and exits if exhausted, so a run that
   hits its step limit stops at exactly the same block boundary (and
   counter values) as per-block dispatch;
-* **block budget** -- same check against the synthesized runtime's
-  block-count budget;
 * **self-patching code** -- every store is guarded against the chain's
   own code span; a hit marks the chain dirty and the next member
   boundary deopts (per-block dispatch revalidates block bytes at the
@@ -31,9 +29,9 @@ per-block path resumes.  Concretely:
   all chains outright;
 * **faults and interrupts** -- a faulting op propagates out of the chain
   with all counters flushed (a ``finally`` adds the locals back to the
-  env at the op boundary where the fault occurred) and, in the dynamic
-  flavour, with the CPU's pc already advanced to the faulting member's
-  head -- exactly where per-block dispatch leaves it; interrupts are
+  env at the op boundary where the fault occurred) and with the CPU's pc
+  already advanced to the faulting member's head -- exactly where
+  per-block dispatch leaves it; interrupts are
   delivered at run boundaries in this VM, which superblocks do not move.
 
 Terminators end a chain: indirect jumps, calls, returns and halts are
@@ -42,20 +40,21 @@ through the other.  Mid-chain exits report how many members actually
 entered so the dispatcher can account steps and locate the terminating
 member (import calls and halts need its last instruction address).
 
-Generated superblock sources are persisted through
-:mod:`repro.ir.codecache` alongside a *chain hint* keyed by the head
-block's content, so a warm process both skips regeneration and re-forms
-hot chains on first dispatch instead of re-profiling.
+The one consumer is the original binary's CPU DBT mode
+(:meth:`repro.vm.cpu.Cpu._run_dbt`).  Symbolic execution and the
+synthesized runtime dispatch per block: per-block stepping is part of
+the artifact byte contract, and chains over the synthesized block maps
+showed no measured win.
 """
 
 import os
 
-from repro.ir import codecache
 from repro.ir import nodes as N
 from repro.ir.compile import _BINDINGS, _Writer, _emit_op, compile_source
 
-#: Environment toggle for the superblock tier (used when a consumer does
-#: not pass an explicit setting): ``off``/``0`` disables, default on.
+#: Environment toggle for the original binary's superblock tier (used
+#: when the CPU has no explicit setting): ``off``/``0`` disables, default
+#: on.
 SUPERBLOCKS_ENV = "REVNIC_SUPERBLOCKS"
 
 _DISABLED = ("off", "0", "no", "false", "disabled")
@@ -101,53 +100,48 @@ class _ChainWriter(_Writer):
 
     def __init__(self, guard_span):
         _Writer.__init__(self)
-        self.guard_span = guard_span   # (lo, hi) or None
+        self.guard_span = guard_span   # (lo, hi)
         self.members_entered = 1
 
     def wrap_return(self, expr):
         return "return (%s), %d, _i" % (expr, self.members_entered)
 
     def after_store(self, address_ref):
-        if self.guard_span is not None:
-            lo, hi = self.guard_span
-            self.line("if %d <= %s < %d:" % (lo, address_ref, hi))
-            self.line("    _w = True")
+        lo, hi = self.guard_span
+        self.line("if %d <= %s < %d:" % (lo, address_ref, hi))
+        self.line("    _w = True")
 
 
-def superblock_source(blocks, guard_code_writes):
+def superblock_source(blocks):
     """The generated module source fusing ``blocks`` into one function
-    ``_sb(env, instr_budget, block_budget) -> (BlockResult, members,
-    instrs)``.
+    ``_sb(env, instr_budget) -> (BlockResult, members, instrs)``.
 
-    ``guard_code_writes`` emits the self-patch store guard (the dynamic
-    flavour; synthesized block maps are immutable and skip it).  Like
+    Every store is guarded against the chain's own code span.  Like
     :func:`repro.ir.compile.block_source` this is a pure function of the
-    member blocks, which is what makes persisting it sound.
+    member blocks, which is what lets managers share compiled chains.
     """
-    span = (min(b.pc for b in blocks), max(b.end_pc for b in blocks))
-    w = _ChainWriter(span if guard_code_writes else None)
+    w = _ChainWriter((min(b.pc for b in blocks),
+                      max(b.end_pc for b in blocks)))
     last = len(blocks) - 1
     instrs = 0
     for index, block in enumerate(blocks):
         w.members_entered = index + 1
         if index:
             # Member boundary: deopt on a dirty code span, exit on an
-            # exhausted instruction or block budget.  Exits return a
-            # plain jump to this member's pc -- exactly what the
-            # per-block tier would be dispatching next.
+            # exhausted instruction budget.  Exits return a plain jump
+            # to this member's pc -- exactly what the per-block tier
+            # would be dispatching next.
             exit_const = w.const(
                 "x", "BlockResult(\"jump\", %d)" % block.pc)
-            if guard_code_writes:
-                w.line("if _w:")
-                w.line("    _s[3] += 1")
-                w.line("    return %s, %d, _i" % (exit_const, index))
-            w.line("if _i >= instr_budget or %d >= block_budget:" % index)
+            w.line("if _w:")
+            w.line("    _s[3] += 1")
             w.line("    return %s, %d, _i" % (exit_const, index))
-            if guard_code_writes:
-                # Per-block dispatch would have advanced the CPU's pc to
-                # this member before running it; track that so a fault
-                # escaping the chain reports the same faulting-block pc.
-                w.line("env.cpu.pc = %d" % block.pc)
+            w.line("if _i >= instr_budget:")
+            w.line("    return %s, %d, _i" % (exit_const, index))
+            # Per-block dispatch would have advanced the CPU's pc to
+            # this member before running it; track that so a fault
+            # escaping the chain reports the same faulting-block pc.
+            w.line("env.cpu.pc = %d" % block.pc)
         instrs += len(block.instr_addrs)
         w.line("_n = %d" % (index + 1))
         w.line("_i = %d" % instrs)
@@ -173,12 +167,10 @@ def superblock_source(blocks, guard_code_writes):
                     "f", "BlockResult(\"jump\", %d)" % block.end_pc)))
 
     header = ["%s = %s" % pair for pair in w.consts]
-    header += ["def _sb(env, instr_budget, block_budget):",
+    header += ["def _sb(env, instr_budget):",
                "    _s[1] += 1"]
     header.extend(_BINDINGS[name] for name in sorted(w.used))
-    header.append("    _i = 0; _o = 0; _io = 0; _mem = 0; _n = 0")
-    if guard_code_writes:
-        header.append("    _w = False")
+    header.append("    _i = 0; _o = 0; _io = 0; _mem = 0; _n = 0; _w = False")
     header.append("    try:")
     body = ["    " + line for line in w.lines]
     footer = ["    finally:",
@@ -225,8 +217,8 @@ def _emit_chain_link(w, terminator, entered, next_pc):
 
 
 class Superblock:
-    """A formed chain: the member blocks, the fused function, and (in
-    the dynamic flavour) the byte spans revalidated before every run.
+    """A formed chain: the member blocks, the fused function, and the
+    byte spans revalidated before every run.
 
     ``valid_epoch`` memoizes the memory write epoch the spans were last
     verified against: while no write has happened since, revalidation is
@@ -263,30 +255,22 @@ _DECLINED = object()
 
 
 class SuperblockManager:
-    """Per-consumer profiling, formation and dispatch-time validation.
+    """Per-CPU profiling, formation and dispatch-time validation.
 
-    ``flavor`` selects the trust model: ``"dynamic"`` blocks come from a
-    :class:`~repro.dbt.translator.Translator` over mutable guest memory,
-    so chains revalidate member bytes before every run and guard their
-    own stores; ``"static"`` blocks come from a synthesized driver's
-    immutable block map, so both checks are skipped (matching the
-    per-block tier, which never re-reads a synthesized block either).
+    Blocks come from a :class:`~repro.dbt.translator.Translator` over
+    mutable guest memory, so chains revalidate member bytes (through
+    ``read_code(pc, size)``) before every run and guard their own stores.
 
     ``get_block`` maps a pc to a translation block (returning ``None``
     or raising for untranslatable addresses -- both simply stop chain
-    growth).  ``epoch_source`` (dynamic flavour) is an object with a
-    ``write_epoch`` attribute (the guest :class:`~repro.vm.memory.Memory`)
-    used to skip byte revalidation while memory is untouched.
+    growth).  ``epoch_source`` is an object with a ``write_epoch``
+    attribute (the guest :class:`~repro.vm.memory.Memory`) used to skip
+    byte revalidation while memory is untouched.
     """
 
-    def __init__(self, get_block, flavor, read_code=None, config=None,
+    def __init__(self, get_block, read_code, config=None,
                  epoch_source=None):
-        if flavor not in ("dynamic", "static"):
-            raise ValueError("unknown superblock flavor %r" % (flavor,))
-        if flavor == "dynamic" and read_code is None:
-            raise ValueError("dynamic superblocks need read_code")
         self._get_block = get_block
-        self._flavor = flavor
         self._read = read_code
         self._epoch_source = epoch_source
         self._config = config if config is not None else SuperblockConfig()
@@ -294,24 +278,14 @@ class SuperblockManager:
         self._counts = {}
         self._edges = {}
         self._last_pc = None
-        #: Static-flavour steady-state fast path: pc -> formed chain, or
-        #: ``None`` for a declined head.  Dispatch loops may probe it
-        #: before paying a :meth:`lookup` call -- static chains need no
-        #: revalidation, so a hit is final; only absent keys (cold pcs
-        #: still being profiled) need the full path.  Dynamic managers
-        #: keep it ``None``: every hit must revalidate member bytes.
-        self.dispatch = {} if flavor == "static" else None
 
     def invalidate(self):
         """Drop every chain and all profile state (the
-        ``Cpu.code_changed()`` hook).  Persisted hints survive -- they
-        are content-addressed, so patched code simply misses them."""
+        ``Cpu.code_changed()`` hook)."""
         self._supers.clear()
         self._counts.clear()
         self._edges.clear()
         self._last_pc = None
-        if self.dispatch is not None:
-            self.dispatch.clear()
 
     def lookup(self, pc):
         """The superblock to run at ``pc``, or ``None`` for the per-block
@@ -319,9 +293,6 @@ class SuperblockManager:
         feed the execution counts and branch edges formation uses."""
         sb = self._supers.get(pc)
         if sb is not None and sb is not _DECLINED:
-            if self._read is None:
-                self._last_pc = None
-                return sb
             source = self._epoch_source
             epoch = source.write_epoch if source is not None else None
             if epoch is not None and sb.valid_epoch == epoch:
@@ -348,11 +319,9 @@ class SuperblockManager:
             return None
         count = self._counts.get(pc, 0) + 1
         self._counts[pc] = count
-        formed = None
-        if count == 1 and codecache.enabled():
-            formed = self._try_hint(pc)
-        if formed is None and count >= self._config.hot_threshold:
-            formed = self._form(pc)
+        if count < self._config.hot_threshold:
+            return None
+        formed = self._form(pc)
         if formed is not None:
             self._last_pc = None
         return formed
@@ -382,17 +351,6 @@ class SuperblockManager:
             return term.target if taken > fall else term.fallthrough
         return None
 
-    def _allowed_next(self, block):
-        """The pcs a hint is allowed to chain to after ``block``."""
-        term = block.terminator
-        if not isinstance(term, N.TERMINATOR_TYPES):
-            return (block.end_pc,)
-        if isinstance(term, N.IrJump) and not term.indirect:
-            return (term.target,)
-        if isinstance(term, N.IrCondJump):
-            return (term.target, term.fallthrough)
-        return ()
-
     def _form(self, head_pc):
         blocks = []
         seen = set()
@@ -411,67 +369,28 @@ class SuperblockManager:
             # Nothing to fuse (terminator ends the chain immediately, or
             # the continuation is untranslatable): never retry this head.
             self._supers[head_pc] = _DECLINED
-            if self.dispatch is not None:
-                self.dispatch[head_pc] = None
             return None
         sb = self._build(blocks)
         self._supers[head_pc] = sb
-        if self.dispatch is not None:
-            self.dispatch[head_pc] = sb
-        codecache.store_chain_hint(blocks[0], self._flavor,
-                                   [b.pc for b in blocks])
-        _SB_CELLS[0] += 1
-        return sb
-
-    def _try_hint(self, pc):
-        """Re-form a persisted chain on first dispatch of its head."""
-        head = self._fetch(pc)
-        if head is None:
-            return None
-        members = codecache.load_chain_hint(head, self._flavor)
-        if not members or members[0] != pc:
-            return None
-        blocks = [head]
-        prev = head
-        for nxt in members[1:self._config.max_members]:
-            if nxt not in self._allowed_next(prev) or nxt == pc:
-                return None
-            block = self._fetch(nxt)
-            if block is None:
-                return None
-            blocks.append(block)
-            prev = block
-        if len(blocks) < 2:
-            return None
-        sb = self._build(blocks)
-        self._supers[pc] = sb
-        if self.dispatch is not None:
-            self.dispatch[pc] = sb
         _SB_CELLS[0] += 1
         return sb
 
     def _build(self, blocks):
-        guard = self._flavor == "dynamic"
-        key = (self._flavor,
-               tuple((b.pc, b.size, len(b.instr_addrs), tuple(b.ops))
-                     for b in blocks))
-        if guard and self._epoch_source is not None:
+        key = tuple((b.pc, b.size, len(b.instr_addrs), tuple(b.ops))
+                    for b in blocks)
+        if self._epoch_source is not None:
             self._epoch_source.watch_code_span(
                 min(b.pc for b in blocks), max(b.end_pc for b in blocks))
         fn = _SHARED_CHAINS.get(key)
         if fn is None:
-            source = codecache.cached_source(
-                "superblock:" + self._flavor,
-                codecache.chain_descriptor(blocks),
-                lambda: superblock_source(blocks, guard))
             fn = compile_source(
-                source, "_sb", "<superblock-0x%08x>" % blocks[0].pc,
+                superblock_source(blocks), "_sb",
+                "<superblock-0x%08x>" % blocks[0].pc,
                 extra={"_s": _SB_CELLS})
             if len(_SHARED_CHAINS) >= _SHARED_CHAINS_MAX:
                 _SHARED_CHAINS.clear()
             _SHARED_CHAINS[key] = fn
-        spans = _member_spans(blocks, self._read) if guard else None
-        return Superblock(blocks, fn, spans)
+        return Superblock(blocks, fn, _member_spans(blocks, self._read))
 
 
 def _member_spans(blocks, read_code):

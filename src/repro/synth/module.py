@@ -35,15 +35,6 @@ from repro.synth.defuse import analyze_signatures
 from repro.synth.report import build_report
 
 
-#: Instruction budget handed to superblocks by the synthesized runtime:
-#: its budget unit is *blocks*, so the instruction guard never binds.
-_NO_INSTR_BUDGET = 1 << 62
-
-#: Absent-key sentinel for the superblock dispatch fast path (``None``
-#: in that dict means a declined head, so it cannot double as "miss").
-_SB_MISS = object()
-
-
 class MissingBlockError(SynthesisError):
     """The synthesized driver reached code RevNIC never captured."""
 
@@ -78,57 +69,26 @@ class SynthesizedDriver:
     # ------------------------------------------------------------------
 
     def run_entry(self, role, env, args, os_interface, max_blocks=200_000,
-                  backend=None, superblocks=None):
+                  backend=None):
         """Execute entry point ``role`` with stack ``args`` in ``env``.
 
         ``env`` is an :class:`~repro.ir.interp.IrEnv` over the *target*
         machine; ``os_interface.call(name, arg_reader) -> (retval, nargs)``
         answers OS API calls (the template's adaptation layer).
         ``backend`` selects the execution tier (compiled blocks by
-        default; ``"interp"`` tree-walks); ``superblocks`` gates the
-        superblock tier on the compiled backend (``None`` follows the
-        ``REVNIC_SUPERBLOCKS`` environment default).  Returns r0.
+        default; ``"interp"`` tree-walks).  Returns r0.
         """
         entry = self.entry_points.get(role)
         if entry is None:
             raise SynthesisError("no synthesized entry point %r" % role)
         return self.run_function(entry, env, args, os_interface, max_blocks,
-                                 backend=backend, superblocks=superblocks)
-
-    def _superblock_manager(self, superblocks):
-        """The lazily built static-flavour superblock manager (shared by
-        every run over this driver's immutable block map), or ``None``
-        when the tier is off."""
-        from repro.ir.superblock import (SuperblockConfig,
-                                         SuperblockManager,
-                                         superblocks_enabled)
-
-        if superblocks is None:
-            if not superblocks_enabled():
-                return None
-            config = None
-        elif superblocks is False:
-            return None
-        elif superblocks is True:
-            config = None
-        elif isinstance(superblocks, SuperblockConfig):
-            config = superblocks
-        else:
-            return None
-        manager = getattr(self, "_sb_manager", None)
-        if manager is None:
-            manager = SuperblockManager(self.block_map.get, "static",
-                                        config=config)
-            self._sb_manager = manager
-        return manager
+                                 backend=backend)
 
     def run_function(self, entry, env, args, os_interface,
-                     max_blocks=200_000, backend=None, superblocks=None):
+                     max_blocks=200_000, backend=None):
         """Call a recovered function at ``entry`` (stdcall protocol)."""
-        backend = get_backend(backend)
-        run = backend.run
-        manager = self._superblock_manager(superblocks) \
-            if backend.name == "compiled" else None
+        run = get_backend(backend).run
+        block_map = self.block_map
         sp = env.regs[REG_SP]
         for value in reversed(args):
             sp -= 4
@@ -136,32 +96,14 @@ class SynthesizedDriver:
         sp -= 4
         env.mem_write(sp, 4, RETURN_TO_OS)
         env.regs[REG_SP] = sp
-        # Steady-state fast path: the manager's static-flavour dispatch
-        # dict resolves hot heads (and declined ones) with one dict
-        # probe; only cold pcs pay the profiling lookup() call.
-        dispatch = manager.dispatch if manager is not None else None
         pc = entry
         blocks_run = 0
         while blocks_run < max_blocks:
-            if dispatch is None:
-                sb = None
-            else:
-                sb = dispatch.get(pc, _SB_MISS)
-                if sb is _SB_MISS:
-                    sb = manager.lookup(pc)
-            if sb is not None:
-                # Fused hot chain: exits at exactly the block boundary
-                # (and block count) the per-block loop would reach, so
-                # the block budget below stays an exact contract.
-                result, members, _instrs = sb.fn(
-                    env, _NO_INSTR_BUDGET, max_blocks - blocks_run)
-                blocks_run += members
-            else:
-                block = self.block_map.get(pc)
-                if block is None:
-                    raise MissingBlockError(pc)
-                result = run(block, env)
-                blocks_run += 1
+            block = block_map.get(pc)
+            if block is None:
+                raise MissingBlockError(pc)
+            result = run(block, env)
+            blocks_run += 1
             if result.kind == "halt":
                 raise SynthesisError("synthesized driver executed HALT")
             if result.kind == "call":

@@ -47,12 +47,11 @@ class NicTemplate:
     """Generic wired-NIC template (no DMA assumptions)."""
 
     def __init__(self, synthesized_driver, target_os, original_image=None,
-                 exec_backend=None, exec_superblocks=None):
+                 exec_backend=None):
         self.driver = synthesized_driver
         self.os = target_os
         self.runtime = SyntheticDriverRuntime(
-            synthesized_driver, target_os, exec_backend=exec_backend,
-            exec_superblocks=exec_superblocks)
+            synthesized_driver, target_os, exec_backend=exec_backend)
         if original_image is not None:
             self.runtime.seed_data_image(original_image)
         self.context = 0

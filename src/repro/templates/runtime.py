@@ -18,14 +18,10 @@ from repro.layout import STACK_TOP
 class SyntheticDriverRuntime:
     """Runs recovered IR functions on a target OS's machine."""
 
-    def __init__(self, driver, target_os, exec_backend=None,
-                 exec_superblocks=None):
+    def __init__(self, driver, target_os, exec_backend=None):
         self.driver = driver
         self.os = target_os
         self.backend = get_backend(exec_backend)
-        #: superblock-tier gate for the compiled backend (``None``
-        #: follows the ``REVNIC_SUPERBLOCKS`` environment default)
-        self.superblocks = exec_superblocks
         self.env = IrEnv.for_machine(target_os.machine)
         #: total IR ops retired by synthesized code (perf-model input)
         self.env.ops_retired = 0
@@ -67,8 +63,7 @@ class SyntheticDriverRuntime:
         self.env.regs[REG_SP] = STACK_TOP
         return self.driver.run_entry(role, self.env, list(args), self.os,
                                      max_blocks=max_blocks,
-                                     backend=self.backend,
-                                     superblocks=self.superblocks)
+                                     backend=self.backend)
 
     def call_address(self, entry, args, max_blocks=200_000):
         """Invoke an arbitrary recovered function by address."""
@@ -76,5 +71,4 @@ class SyntheticDriverRuntime:
         self.env.regs[REG_SP] = STACK_TOP
         return self.driver.run_function(entry, self.env, list(args),
                                         self.os, max_blocks=max_blocks,
-                                        backend=self.backend,
-                                        superblocks=self.superblocks)
+                                        backend=self.backend)

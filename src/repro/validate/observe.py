@@ -270,7 +270,7 @@ class SynthesizedDut(DriverUnderTest):
     """
 
     def __init__(self, artifact, os_name, mac=VALIDATION_MAC,
-                 exec_backend=None, exec_superblocks=None):
+                 exec_backend=None):
         super().__init__(artifact.name, mac)
         self.target_os = os_name
         self.side = "synthesized/%s" % os_name
@@ -279,8 +279,7 @@ class SynthesizedDut(DriverUnderTest):
             else NicTemplate
         self._front = template_cls(artifact.synthesized, target,
                                    original_image=artifact.image,
-                                   exec_backend=exec_backend,
-                                   exec_superblocks=exec_superblocks)
+                                   exec_backend=exec_backend)
         self._os = target
 
     @property

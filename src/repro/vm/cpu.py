@@ -125,10 +125,6 @@ class Cpu:
         if self._sb_manager is not None:
             self._sb_manager.invalidate()
 
-    def invalidate_decode_cache(self):
-        """Backward-compatible alias for :meth:`code_changed`."""
-        self.code_changed()
-
     # ------------------------------------------------------------------
     # Execution
 
@@ -170,9 +166,8 @@ class Cpu:
         if self._sb_manager is None:
             from repro.ir.superblock import SuperblockManager
             self._sb_manager = SuperblockManager(
-                self._translator.get, "dynamic",
-                read_code=self.bus.memory.read_bytes, config=config,
-                epoch_source=self.bus.memory)
+                self._translator.get, self.bus.memory.read_bytes,
+                config=config, epoch_source=self.bus.memory)
         return self._sb_manager
 
     def _run_dbt(self, max_steps):
@@ -206,8 +201,7 @@ class Cpu:
                 sb = manager.lookup(self.pc) if manager is not None \
                     else None
                 if sb is not None:
-                    result, members, instrs = sb.fn(
-                        env, max_steps - steps, max_steps)
+                    result, members, instrs = sb.fn(env, max_steps - steps)
                     steps += instrs
                     last_block = sb.blocks[members - 1]
                 else:

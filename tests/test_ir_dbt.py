@@ -170,9 +170,8 @@ class TestTranslation:
         cpu.pc = TEXT_BASE
         cpu.run()
         assert cpu.regs[2] == 99
-        # The legacy name remains an alias of the unified hook.
         cpu._decode_cache[0] = None
-        cpu.invalidate_decode_cache()
+        cpu.code_changed()
         assert not cpu._decode_cache
 
     def test_printer_smoke(self):

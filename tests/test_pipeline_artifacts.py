@@ -184,10 +184,29 @@ class TestStore:
         store = ArtifactStore(str(tmp_path))
         artifact = artifacts["smc91c111"]
         data = json.loads(to_json(artifact))
-        data["schema"] = 999_999
-        key = "1" * 64
-        store.save_json(key, json.dumps(data))
-        assert store.load(key) is None
+        # 2 is the previous schema era (its run stats carried the
+        # persistent code cache's counters).
+        for index, schema in enumerate((999_999, 2)):
+            data["schema"] = schema
+            key = str(index) * 64
+            store.save_json(key, json.dumps(data))
+            assert store.load(key) is None
+        assert store.misses == 2 and store.corrupt == 0
+
+    def test_cold_warm_writes_only_artifact_entries(self, tmp_path,
+                                                    monkeypatch):
+        """A cold port leaves run artifacts in the store and nothing
+        else: compiled code is never persisted, and the run stats carry
+        no compiled-code cache section."""
+        root = str(tmp_path / "store")
+        monkeypatch.setenv("REVNIC_ARTIFACT_CACHE", root)
+        orchestrator = PipelineOrchestrator(store=ArtifactStore(root))
+        artifact = orchestrator.warm(["rtl8029"])["rtl8029"]
+        assert orchestrator.last_warm_mode != "cached"
+        names = os.listdir(root)
+        assert names and all(name.endswith(".json") for name in names)
+        assert not os.path.exists(os.path.join(root, "codegen"))
+        assert not [key for key in artifact.stats if key.startswith("code")]
 
     def test_key_is_content_addressed(self, artifacts):
         image = artifacts["rtl8029"].image

@@ -2,16 +2,14 @@
 
 Formation is tested against hand-built translation blocks (what chains
 may and may not fuse); the consumer tests drive the real original-binary
-harness and the synthesized-driver runtime with superblocks forced hot
-and assert the observations are bit-identical to the per-block tier --
-the same claim the validation matrix makes across OSes, applied across
-execution tiers.
+harness with superblocks forced hot and assert the observations are
+bit-identical to the per-block tier -- the same claim the validation
+matrix makes across OSes, applied across execution tiers.
 """
 
 import pytest
 
 from repro.drivers import build_driver, device_class
-from repro.eval.runner import get_cache
 from repro.guestos.harness import DriverHarness
 from repro.ir import (
     SuperblockConfig,
@@ -23,8 +21,6 @@ from repro.ir import (
 from repro.ir import nodes as N
 from repro.isa.encoding import INSTR_SIZE
 from repro.net import UdpWorkload
-from repro.targetos import TARGET_OSES
-from repro.templates import DmaNicTemplate
 from repro.validate.observe import OriginalDut
 from repro.validate.scenarios import CATALOG, run_scenario
 
@@ -46,6 +42,12 @@ def _block(pc, terminator, n_instr=2, reg=1):
         ops=ops)
 
 
+def _read_code(pc, size):
+    """Guest bytes under the synthetic blocks: constant, so chain
+    revalidation always passes."""
+    return bytes(size)
+
+
 def _linear(block_map, start, count, stride=0x40):
     """``count`` blocks chained by direct jumps starting at ``start``."""
     pcs = [start + i * stride for i in range(count)]
@@ -56,16 +58,8 @@ def _linear(block_map, start, count, stride=0x40):
 
 
 class TestFormation:
-    @pytest.fixture(autouse=True)
-    def _no_code_cache(self, monkeypatch):
-        """Chain hints are keyed by head-block content; the synthetic
-        blocks here repeat across tests, so a shared persistent cache
-        would let one test's hint pre-form another test's chain."""
-        from repro.ir.codecache import CODE_CACHE_ENV
-        monkeypatch.setenv(CODE_CACHE_ENV, "off")
-
     def _manager(self, block_map, **config):
-        return SuperblockManager(block_map.get, "static",
+        return SuperblockManager(block_map.get, _read_code,
                                  config=SuperblockConfig(hot_threshold=1,
                                                          **config))
 
@@ -120,7 +114,7 @@ class TestFormation:
             calls.append(pc)
             return _block(pc, N.IrHalt())
 
-        manager = SuperblockManager(get_block, "static", config=_HOT)
+        manager = SuperblockManager(get_block, _read_code, config=_HOT)
         assert manager.lookup(0x1000) is None
         fetches = len(calls)
         assert manager.lookup(0x1000) is None
@@ -145,7 +139,7 @@ class TestFormation:
             taken: _block(taken, N.IrHalt()),
         }
         manager = SuperblockManager(
-            block_map.get, "static",
+            block_map.get, _read_code,
             config=SuperblockConfig(hot_threshold=3))
         # Two observed traversals of the taken edge, none of the other.
         assert manager.lookup(0x1000) is None
@@ -165,7 +159,7 @@ class TestFormation:
             taken: _block(taken, N.IrHalt()),
         }
         manager = SuperblockManager(
-            block_map.get, "static",
+            block_map.get, _read_code,
             config=SuperblockConfig(hot_threshold=3))
         assert manager.lookup(0x1000) is None
         assert manager.lookup(taken) is None
@@ -183,12 +177,6 @@ class TestFormation:
         assert not manager._supers and not manager._counts
         assert manager.lookup(0x1000) is not None
 
-    def test_flavor_validation(self):
-        with pytest.raises(ValueError):
-            SuperblockManager({}.get, "jit")
-        with pytest.raises(ValueError):
-            SuperblockManager({}.get, "dynamic")  # needs read_code
-
 
 class TestCodegen:
     def _blocks(self):
@@ -198,20 +186,12 @@ class TestCodegen:
 
     def test_source_is_deterministic(self):
         blocks = self._blocks()
-        assert superblock_source(blocks, True) \
-            == superblock_source(blocks, True)
-        assert superblock_source(blocks, False) \
-            == superblock_source(blocks, False)
-
-    def test_static_flavor_has_no_store_guard(self):
-        blocks = self._blocks()
-        dynamic = superblock_source(blocks, True)
-        static = superblock_source(blocks, False)
-        assert "_w" in dynamic and "env.cpu.pc" in dynamic
-        assert "_w" not in static and "env.cpu.pc" not in static
+        source = superblock_source(blocks)
+        assert source == superblock_source(blocks)
+        assert "_w" in source and "env.cpu.pc" in source
 
     def test_counters_flush_in_finally(self):
-        source = superblock_source(self._blocks(), False)
+        source = superblock_source(self._blocks())
         assert "finally:" in source
         assert "env.instrs_retired += _i" in source
 
@@ -262,89 +242,3 @@ class TestHarnessEquivalence:
             dut.shutdown()
         assert observations[0] == observations[1]
 
-
-class TestSynthesizedEquivalence:
-    """Synthesized driver in the target-OS template: on vs off."""
-
-    def _lifecycle(self, artifact, superblocks):
-        target = TARGET_OSES["winsim"](device_class("rtl8029"), mac=MAC)
-        template = DmaNicTemplate(artifact.synthesized, target,
-                                  original_image=artifact.image,
-                                  exec_backend="compiled",
-                                  exec_superblocks=superblocks)
-        template.initialize()
-        workload = UdpWorkload(MAC, PEER, 96)
-        statuses = [template.send(workload.next_frame().to_bytes())
-                    for _ in range(3)]
-        env = template.runtime.env
-        return {
-            "statuses": statuses,
-            "wire": [f.hex() for f in target.medium.transmitted],
-            "instrs": env.instrs_retired,
-            "ops": env.ops_retired,
-            "io_ops": env.io_ops,
-            "irqs": target.irq_count,
-        }
-
-    def test_template_identical_and_chains_ran(self):
-        artifact = get_cache().run("rtl8029")
-        baseline = self._lifecycle(artifact, False)
-        before = superblock_counters()
-        fused = self._lifecycle(artifact, _HOT)
-        after = superblock_counters()
-        assert fused == baseline
-        assert after["superblock_runs"] > before["superblock_runs"]
-
-
-class TestChainHintPrefetch:
-    """Chain-membership hints prefetch block sources in the symex
-    concrete fast path: a warm process imports persisted sources for the
-    whole chain the moment it steps the head block, instead of
-    regenerating them one miss at a time.  Chains stay *off* during
-    symex -- per-block stepping is the artifact byte contract -- so the
-    prefetch must leave the artifact bytes untouched."""
-
-    def _fresh_process(self):
-        from repro.ir import codecache
-        from repro.ir import compile as ircompile
-        from repro.ir import superblock as sb
-        codecache.forget_stores()
-        ircompile._SHARED_PROGRAMS.clear()
-        sb._SHARED_CHAINS.clear()
-
-    def test_warm_symex_imports_prefetched_chain_sources(
-            self, tmp_path, monkeypatch):
-        from repro.ir import codecache
-        from repro.net.traffic import ScenarioProgram, ScenarioStep
-        from repro.pipeline.artifact import canonical_json
-        from repro.pipeline.orchestrator import execute_run
-
-        monkeypatch.setenv(codecache.CODE_CACHE_ENV, str(tmp_path))
-        self._fresh_process()
-
-        # Cold reference: no persisted hints to consult.
-        cold = canonical_json(execute_run("rtl8029"))
-
-        # Warm the store: a hot superblock run persists block sources
-        # *and* dynamic chain-membership hints for the traced heads.
-        program = ScenarioProgram(name="hint-warm", seed=0, steps=(
-            ScenarioStep("send_burst", {"size": 128, "count": 3}),
-            ScenarioStep("inject_burst", {"size": 96, "count": 3}),
-            ScenarioStep("service", {}),
-        ) * 3, description="persist chain hints")
-        dut = OriginalDut("rtl8029", exec_backend="compiled",
-                          exec_superblocks=_HOT)
-        assert run_scenario(dut, program).ok
-        assert codecache.codecache_counters()["persisted"] > 0
-
-        self._fresh_process()
-        before = dict(codecache.codecache_counters())
-        warm = canonical_json(execute_run("rtl8029"))
-        delta = {key: value - before.get(key, 0)
-                 for key, value in codecache.codecache_counters().items()}
-        assert delta["hints"] > 0, \
-            "warm symex never consulted a chain-membership hint"
-        assert delta["imported"] > 0, \
-            "prefetched chain members must import, not regenerate"
-        assert warm == cold, \
-            "the prefetch changed the artifact bytes"
