@@ -37,8 +37,10 @@ from repro.synth.report import FunctionSummary, SynthesisReport
 #: Bump on any incompatible change to the encoding below.  Loads of a
 #: different version are rejected (the on-disk cache treats them as
 #: misses), never migrated.  v3: run stats lost the outcome counters of
-#: the persistent compiled-code cache, which was removed.
-SCHEMA_VERSION = 3
+#: the persistent compiled-code cache, which was removed.  v4: the stored
+#: ``eval_program_runs`` / ``eval_node_visits`` shrank for the same inputs
+#: (the solver's random fallback skips repair groups known to fail).
+SCHEMA_VERSION = 4
 
 
 class RunArtifact:

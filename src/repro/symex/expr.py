@@ -15,7 +15,8 @@ Three properties make expressions cheap to solve against (see DESIGN.md):
   per node and shared by every holder;
 * **compiled evaluation** -- ``compiled(expr)`` lowers a DAG once into a
   flat Python function (postorder, no recursion, no per-node dispatch)
-  that maps a ``{symbol: int}`` model to the expression's value.
+  that maps a ``{symbol: int}`` model to the expression's value; DAGs
+  that differ only in symbol names or constants share one compiled shape.
 
 Plain Python ints are used for fully concrete values throughout the engine;
 an :class:`Expr` only appears once a value actually depends on a symbol.
@@ -140,8 +141,8 @@ BoolExpr = Expr
 
 
 def clear_intern_cache():
-    """Drop the interning table and compiled-program caches (tests /
-    long-lived processes only).
+    """Drop the interning table, the compiled-program caches and the
+    shape table (tests / long-lived processes only).
 
     Live expressions keep working; new structurally-equal constructions
     will no longer be identical to pre-clear nodes, so never call this
@@ -149,6 +150,7 @@ def clear_intern_cache():
     """
     Expr._intern = {}
     _CONJUNCTION_CACHE.clear()
+    _SHAPES.clear()
 
 
 def is_concrete(value):
@@ -408,11 +410,19 @@ BINOP_BUILDERS = {
 # A constraint DAG is lowered once into the source of a flat Python
 # function: one assignment per distinct node in postorder (shared subtrees
 # are emitted once), symbols read through ``model.get``, all semantics
-# identical to the old recursive evaluator.  The compiled function is
+# identical to the old recursive evaluator.  Symbol names and integer
+# arguments are not spelled into that source: they become parameters of a
+# generated ``_make(p)`` factory, so constraints that differ only in their
+# symbols or constants share one source text -- one *shape* -- and one
+# ``compile()``.  The compiled factory is cached in ``_SHAPES`` and each
+# DAG's program is the factory instantiated with that DAG's parameters,
 # cached on the interned node, so every state/fork/query that reaches the
 # same constraint reuses the same program.
 
 _SIGNED = "(%s - 4294967296 if %s & 2147483648 else %s)"
+
+_CMP_OPS = {"eq": "==", "ne": "!=", "ult": "<", "uge": ">=",
+            "slt": "<", "sge": ">="}
 
 
 def _postorder(expr):
@@ -448,13 +458,23 @@ def _compile_program(expr, roots=None):
     With ``roots`` the function returns a bitmask with bit *i* set iff
     ``roots[i]`` evaluates to 1 -- the representation the solver's greedy
     hill-climb scores against.
+
+    Node structure, widths, masks and ``extract``/``concat`` offsets are
+    literal in the generated source; every symbol name and integer
+    argument is a factory parameter ``p<i>`` (one per occurrence), so the
+    source text is the DAG's shape and keys the ``_SHAPES`` table.
     """
     order = _postorder_many(roots) if roots is not None else _postorder(expr)
     var = {}
+    params = []
     lines = []
 
+    def param(value):
+        params.append(value)
+        return "p%d" % (len(params) - 1)
+
     def ref(value):
-        return repr(value) if isinstance(value, int) else var[id(value)]
+        return param(value) if isinstance(value, int) else var[id(value)]
 
     for index, node in enumerate(order):
         name = "v%d" % index
@@ -462,7 +482,7 @@ def _compile_program(expr, roots=None):
         kind = node.kind
         mask = _mask(node.width)
         if kind == "sym":
-            rhs = "g(%r, 0) & %d" % (node.name, mask)
+            rhs = "g(%s, 0) & %d" % (param(node.name), mask)
         elif kind == "zext":
             rhs = ref(node.args[0])
         elif kind == "extract":
@@ -481,14 +501,12 @@ def _compile_program(expr, roots=None):
             rhs = "~%s & %d" % (ref(node.args[0]), mask)
         elif kind == "neg":
             rhs = "-%s & %d" % (ref(node.args[0]), mask)
-        elif kind in ("eq", "ne", "ult", "uge", "slt", "sge"):
+        elif kind in _CMP_OPS:
             a, b = ref(node.args[0]), ref(node.args[1])
             if kind in ("slt", "sge"):
                 a = _SIGNED % (a, a, a)
                 b = _SIGNED % (b, b, b)
-            op = {"eq": "==", "ne": "!=", "ult": "<", "uge": ">=",
-                  "slt": "<", "sge": ">="}[kind]
-            rhs = "1 if %s %s %s else 0" % (a, op, b)
+            rhs = "1 if %s %s %s else 0" % (a, _CMP_OPS[kind], b)
         else:
             a, b = ref(node.args[0]), ref(node.args[1])
             if kind == "add":
@@ -516,7 +534,7 @@ def _compile_program(expr, roots=None):
             else:  # pragma: no cover
                 raise TypeError("cannot compile kind %r" % (kind,))
             rhs = "(%s) & %d" % (body, mask)
-        lines.append("    %s = %s" % (name, rhs))
+        lines.append("        %s = %s" % (name, rhs))
 
     if roots is not None:
         result = " | ".join(
@@ -524,26 +542,43 @@ def _compile_program(expr, roots=None):
             for shift, root in enumerate(roots))
     else:
         result = var[id(expr)]
-    source = ("def _program(m):\n"
-              "    _c[0] += 1\n"
-              "    _c[1] += %d\n"
-              "    g = m.get\n"
+    unpack = "    %s, = p\n" % ", ".join(
+        "p%d" % i for i in range(len(params))) if params else ""
+    source = ("def _make(p):\n"
+              "%s"
+              "    def _program(m):\n"
+              "        _c[0] += 1\n"
+              "        _c[1] += %d\n"
+              "        g = m.get\n"
               "%s\n"
-              "    return %s\n") % (len(order), "\n".join(lines), result)
-    namespace = {"_c": _COUNTER_CELLS}
-    exec(compile(source, "<expr-program>", "exec"), namespace)
-    _COUNTER_CELLS[2] += 1
-    return namespace["_program"]
+              "        return %s\n"
+              "    return _program\n") % (unpack, len(order),
+                                         "\n".join(lines), result)
+    factory = _SHAPES.get(source)
+    if factory is None:
+        namespace = {"_c": _COUNTER_CELLS}
+        exec(compile(source, "<expr-program>", "exec"), namespace)
+        factory = namespace["_make"]
+        _SHAPES[source] = factory
+        _COUNTER_CELLS[2] += 1
+    return factory(params)
 
+
+#: Compiled program factories keyed by their source text (one per shape).
+_SHAPES = {}
 
 #: Mutable cells shared with every compiled program:
-#: [program runs, node visits, programs compiled].  Deterministic -- the
-#: perf-regression budget tests assert against them via eval_counters().
+#: [program runs, node visits, programs compiled].  The first two are
+#: deterministic -- the perf-regression budget tests assert against them
+#: via eval_counters().  The third counts ``compile()`` calls (shape-table
+#: misses), so it depends on what the process compiled before.
 _COUNTER_CELLS = [0, 0, 0]
 
 
 def eval_counters():
-    """Snapshot of the compiled-evaluation counters (deterministic)."""
+    """Snapshot of the compiled-evaluation counters: ``program_runs`` and
+    ``node_visits`` (deterministic) and ``programs`` (programs compiled,
+    i.e. ``compile()`` calls; depends on process history)."""
     return {"program_runs": _COUNTER_CELLS[0],
             "node_visits": _COUNTER_CELLS[1],
             "programs": _COUNTER_CELLS[2]}

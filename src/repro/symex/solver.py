@@ -28,7 +28,6 @@ model cache keyed by the interned constraint set, so sibling forks and
 re-explorations of the same path prefix never re-search.
 """
 
-import itertools
 import random
 import zlib
 
@@ -569,6 +568,21 @@ class Solver:
                        base):
         pool = candidates or [0]
         rng = self._query_rng(constraints, base)
+        # Each try is followed by one pass of 64 single-symbol repairs in
+        # (sorted symbol, candidate) order, so with 64 or more candidates
+        # every repair varies only the first sorted symbol.  Grouped by
+        # symbol: a group's verdict depends only on the values of the
+        # other symbols, so a group that already failed under the same
+        # values in this query is skipped (for a 1-symbol query, every
+        # try after the first).
+        groups = []
+        remaining = 64
+        for index, name in enumerate(symbols):
+            if remaining <= 0:
+                break
+            groups.append((index, name, pool[:remaining]))
+            remaining -= len(pool)
+        failed = set()
         for _ in range(self.random_tries):
             model = dict(base)
             for name in symbols:
@@ -576,15 +590,18 @@ class Solver:
                     model[name] = rng.choice(pool)
                 else:
                     model[name] = rng.getrandbits(32)
-            # Pairwise combinations of mined values matter for two-symbol
-            # equalities; mix one more pass of single-symbol repair.
             if all(p(model) == 1 for p in programs):
                 return model
-            for name, value in itertools.islice(
-                    itertools.product(symbols, pool), 64):
-                saved = model[name]
-                model[name] = value
-                if all(p(model) == 1 for p in programs):
-                    return model
+            values = tuple(model[name] for name in symbols)
+            for index, name, repairs in groups:
+                key = (index, values[:index] + values[index + 1:])
+                if key in failed:
+                    continue
+                saved = values[index]
+                for value in repairs:
+                    model[name] = value
+                    if all(p(model) == 1 for p in programs):
+                        return model
                 model[name] = saved
+                failed.add(key)
         return None

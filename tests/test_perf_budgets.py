@@ -9,8 +9,12 @@ headroom over the measured values, so they only trip on algorithmic
 blow-ups (a regression to per-query re-solving would exceed them by an
 order of magnitude), not on noise.
 
-Measured at the time the budgets were set (see BENCH_pipeline.json):
-queries=1072 solves=437 node_visits=16.2M blocks=2264.
+Measured when the program-run budgets were added (see
+BENCH_pipeline.json): rtl8139 queries=954 solves=378 node_visits=17.2M
+program_runs=915,785 blocks=2087 forks=259; smc91c111
+program_runs=514,447.  The smc91c111 budget guards the solver's random
+fallback, which re-scored every known-failing single-symbol repair on
+each try before it memoized failed repair groups (2,664,488 runs).
 """
 
 from repro.eval.runner import get_cache
@@ -21,15 +25,30 @@ BUDGETS = {
     "eval_node_visits": 32_000_000,
     "blocks_executed": 3500,
     "forks": 450,
+    "eval_program_runs": 1_400_000,
+}
+
+#: smc91c111 spends most of its searches in the random fallback.
+SMC91C111_BUDGETS = {
+    "eval_program_runs": 800_000,
 }
 
 
-def test_rtl8139_counter_budgets():
-    stats = get_cache().run("rtl8139").stats
-    for counter, budget in BUDGETS.items():
+def _assert_budgets(name, budgets):
+    stats = get_cache().run(name).stats
+    for counter, budget in budgets.items():
         assert stats[counter] <= budget, (
-            "%s blew its budget: %d > %d -- the incremental solving layer "
-            "regressed (see DESIGN.md)" % (counter, stats[counter], budget))
+            "%s %s blew its budget: %d > %d -- the incremental solving "
+            "layer regressed (see DESIGN.md)"
+            % (name, counter, stats[counter], budget))
+
+
+def test_rtl8139_counter_budgets():
+    _assert_budgets("rtl8139", BUDGETS)
+
+
+def test_smc91c111_counter_budgets():
+    _assert_budgets("smc91c111", SMC91C111_BUDGETS)
 
 
 def test_rtl8139_caching_is_effective():

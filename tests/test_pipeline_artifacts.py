@@ -184,14 +184,16 @@ class TestStore:
         store = ArtifactStore(str(tmp_path))
         artifact = artifacts["smc91c111"]
         data = json.loads(to_json(artifact))
-        # 2 is the previous schema era (its run stats carried the
-        # persistent code cache's counters).
-        for index, schema in enumerate((999_999, 2)):
+        # 2 and 3 are earlier schema eras (2's run stats carried the
+        # persistent code cache's counters; 3's eval_* counters predate
+        # the random-search repair memo).
+        schemas = (999_999, 2, 3)
+        for index, schema in enumerate(schemas):
             data["schema"] = schema
             key = str(index) * 64
             store.save_json(key, json.dumps(data))
             assert store.load(key) is None
-        assert store.misses == 2 and store.corrupt == 0
+        assert store.misses == len(schemas) and store.corrupt == 0
 
     def test_cold_warm_writes_only_artifact_entries(self, tmp_path,
                                                     monkeypatch):

@@ -73,6 +73,145 @@ class TestExprSemantics:
             == 1
 
 
+_BINOP_KINDS = ("add", "sub", "and", "or", "xor", "shl", "shr", "sar",
+                "mul", "divu", "remu")
+_CMP_KINDS = ("eq", "ne", "ult", "uge", "slt", "sge")
+_STEP_KINDS = _BINOP_KINDS + _CMP_KINDS + (
+    "not", "neg", "zext8", "zext1", "extract", "concat", "concat_const")
+_EDGE_VALUES = (0, 1, 2, 31, 32, 33, 0x7F, 0x80, 0xFF, 0x7FFFFFFF,
+                0x80000000, 0xFFFFFFFF)
+edgy_u32 = st.one_of(st.sampled_from(_EDGE_VALUES), u32)
+
+
+def _reference_eval(expr, model):
+    """Independent recursive evaluator of the documented semantics: every
+    node's value is masked to its width (``zext`` passes its operand
+    through), shift amounts are taken mod 32, signed kinds read 32-bit
+    two's complement, division by 0 yields 0, and ``concat`` is
+    little-endian with int parts 32 bits wide."""
+    if isinstance(expr, int):
+        return expr
+    kind = expr.kind
+    mask = (1 << expr.width) - 1
+    if kind == "sym":
+        return model.get(expr.name, 0) & mask
+    args = [_reference_eval(arg, model) for arg in expr.args]
+    if kind == "zext":
+        return args[0]
+    if kind == "extract":
+        return (args[0] >> expr.lo) & mask
+    if kind == "concat":
+        value = shift = 0
+        for part, part_value in zip(expr.args, args):
+            part_width = 32 if isinstance(part, int) else part.width
+            value |= (part_value & ((1 << part_width) - 1)) << shift
+            shift += part_width
+        return value & mask
+    if kind == "not":
+        return ~args[0] & mask
+    if kind == "neg":
+        return -args[0] & mask
+    a, b = args
+
+    def signed(v):
+        return v - (1 << 32) if v & (1 << 31) else v
+
+    if kind in _CMP_KINDS:
+        return int({"eq": a == b, "ne": a != b, "ult": a < b,
+                    "uge": a >= b, "slt": signed(a) < signed(b),
+                    "sge": signed(a) >= signed(b)}[kind])
+    value = {"add": lambda: a + b, "sub": lambda: a - b,
+             "and": lambda: a & b, "or": lambda: a | b,
+             "xor": lambda: a ^ b, "mul": lambda: a * b,
+             "shl": lambda: a << (b % 32), "shr": lambda: a >> (b % 32),
+             "sar": lambda: signed(a) >> (b % 32),
+             "divu": lambda: a // b if b else 0,
+             "remu": lambda: a % b if b else 0}[kind]()
+    return value & mask
+
+
+def _build_instance(template, names, consts):
+    """Instantiate a DAG template with concrete symbol names (two 32-bit
+    slots and one 8-bit slot) and constants.  Raw ``Expr`` construction
+    skips the smart constructors' folding, so every kind survives and
+    instances of one template differ only in names and constants."""
+    w32 = [E.Expr("sym", 32, name=names[0]), E.Expr("sym", 32, name=names[1])]
+    w8 = [E.Expr("sym", 8, name=names[2])]
+    w1 = []
+
+    def operand(index):
+        # Indices past the node pool pick a constant slot instead.
+        if index >= 8:
+            return consts[index % len(consts)]
+        return w32[index % len(w32)]
+
+    for kind, i, j in template:
+        if kind in _BINOP_KINDS:
+            w32.append(E.Expr(kind, 32, args=(operand(i), operand(j))))
+        elif kind in _CMP_KINDS:
+            w1.append(E.Expr(kind, 1, args=(operand(i), operand(j))))
+        elif kind in ("not", "neg"):
+            w32.append(E.Expr(kind, 32, args=(w32[i % len(w32)],)))
+        elif kind == "zext8":
+            w32.append(E.Expr("zext", 32, args=(w8[i % len(w8)],)))
+        elif kind == "zext1" and w1:
+            w32.append(E.Expr("zext", 32, args=(w1[i % len(w1)],)))
+        elif kind == "extract":
+            w8.append(E.Expr("extract", 8, args=(w32[i % len(w32)],),
+                             lo=j % 25))
+        elif kind == "concat":
+            parts = tuple(w8[(i + k * j) % len(w8)] for k in range(4))
+            w32.append(E.Expr("concat", 32, args=parts))
+        elif kind == "concat_const":
+            wide = E.Expr("concat", 40, args=(w8[i % len(w8)],
+                                              consts[j % len(consts)]))
+            w32.append(E.Expr("extract", 32, args=(wide,), lo=j % 9))
+    if not w1:
+        w1.append(E.Expr("ne", 1, args=(w32[-1], consts[0])))
+    return w32[2:] + w8[1:] + w1, tuple(w1)
+
+
+class TestCompiledDifferential:
+    """Compiled programs against an independent reference evaluator.
+
+    Programs of one shape share a compiled factory and differ only in
+    their parameters (symbol names, constants).  Instances of one template
+    with permuted names and other constants are compiled back to back and
+    evaluated interleaved, so a parameter leaking between instances of a
+    shape shows up as a wrong value."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(template=st.lists(st.tuples(st.sampled_from(_STEP_KINDS),
+                                       st.integers(0, 15),
+                                       st.integers(0, 15)),
+                             min_size=1, max_size=10),
+           consts=st.lists(st.lists(edgy_u32, min_size=8, max_size=8),
+                           min_size=3, max_size=3),
+           models=st.lists(st.dictionaries(
+               st.sampled_from(["da0", "da1", "da2", "db2", "dc0", "dc1",
+                                "dc2"]), edgy_u32),
+               min_size=2, max_size=2))
+    def test_compiled_matches_reference(self, template, consts, models):
+        names = (("da0", "da1", "da2"), ("da1", "da0", "db2"),
+                 ("dc0", "dc1", "dc2"))
+        instances = [_build_instance(template, n, c)
+                     for n, c in zip(names, consts)]
+        programs = [([E.compiled(node) for node in nodes],
+                     E.compiled_conjunction(roots))
+                    for nodes, roots in instances]
+        # The empty model reads every symbol as 0 (zero divisors, shift
+        # amounts and sign bits included).
+        for model in models + [{}]:
+            for index in range(len(instances[0][0])):
+                for (nodes, _), (singles, _) in zip(instances, programs):
+                    assert singles[index](model) == \
+                        _reference_eval(nodes[index], model), nodes[index]
+            for (_, roots), (_, conjunction) in zip(instances, programs):
+                expected = sum(_reference_eval(root, model) << bit
+                               for bit, root in enumerate(roots))
+                assert conjunction(model) == expected
+
+
 class TestSolverSoundness:
     """Any model the solver returns must actually satisfy the query."""
 

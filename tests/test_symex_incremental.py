@@ -1,6 +1,9 @@
 """Tests for expression interning, compiled evaluation, and the
 incremental solver context (the PR-2 constraint-solving layers)."""
 
+import itertools
+import random
+
 import pytest
 
 from repro.symex import expr as E
@@ -96,6 +99,26 @@ class TestCompiledEvaluation:
         assert program({"cj_x": 6}) == 0b111
         assert program({"cj_x": 7}) == 0b011
         assert program({"cj_x": 20}) == 0b110
+
+    def test_same_shape_compiles_once(self):
+        """Constraints differing only in symbol and constant share one
+        compiled shape: the second costs no ``compile()``."""
+        saved = E.Expr._intern
+        E.clear_intern_cache()
+        try:
+            before = E.eval_counters()["programs"]
+            x, y = E.bv_sym("x"), E.bv_sym("y")
+            first = E.bv_cmp("eq", E.bv_and(x, 0xFF), 3)
+            second = E.bv_cmp("eq", E.bv_and(y, 0xFF), 7)
+            assert E.evaluate(first, {"x": 0x103, "y": 3}) == 1
+            assert E.evaluate(second, {"x": 7, "y": 0x207}) == 1
+            assert E.evaluate(first, {"x": 7, "y": 3}) == 0
+            assert E.evaluate(second, {"x": 7, "y": 3}) == 0
+            assert E.eval_counters()["programs"] == before + 1
+        finally:
+            # Nodes built before the clear are still alive in other
+            # tests' fixtures; keep them canonical for later tests.
+            E.Expr._intern = saved
 
     def test_counters_advance(self):
         before = E.eval_counters()
@@ -231,3 +254,111 @@ class TestDeterminism:
         for value in range(40):
             busy.find_model([E.bv_cmp("eq", E.bv_sym("dh_y"), value)])
         assert busy.find_model(query) == fresh
+
+
+def _reference_random_search(solver, constraints, programs, symbols,
+                             candidates, base):
+    """The random fallback as it was before repair groups were memoized:
+    every try re-runs all 64 single-symbol repairs."""
+    pool = candidates or [0]
+    rng = solver._query_rng(constraints, base)
+    for _ in range(solver.random_tries):
+        model = dict(base)
+        for name in symbols:
+            if rng.random() < 0.5:
+                model[name] = rng.choice(pool)
+            else:
+                model[name] = rng.getrandbits(32)
+        if all(p(model) == 1 for p in programs):
+            return model
+        for name, value in itertools.islice(
+                itertools.product(symbols, pool), 64):
+            saved = model[name]
+            model[name] = value
+            if all(p(model) == 1 for p in programs):
+                return model
+            model[name] = saved
+    return None
+
+
+class TestRandomSearchOracle:
+    """``Solver._random_search`` skips repair groups that already failed;
+    it must return exactly what the unmemoized loop returns."""
+
+    @staticmethod
+    def _query(seed):
+        rng = random.Random(seed)
+        count = rng.randint(1, 4)
+        names = ["rs%d_%d" % (seed, i) for i in range(count)]
+        syms = [E.bv_sym(name) for name in names]
+        constraints = []
+        for _ in range(rng.randint(1, 3)):
+            a = rng.choice(syms)
+            b = rng.choice(syms + [rng.getrandbits(8)])
+            shape = rng.randrange(4)
+            if shape == 0:
+                term = E.bv_add(a, b)
+            elif shape == 1:
+                term = E.bv_and(a, 0xF0 | rng.getrandbits(4))
+            elif shape == 2:
+                term = E.bv_xor(a, b)
+            else:
+                term = a
+            kind = rng.choice(["eq", "eq", "ne", "ult", "uge"])
+            constraint = E.bv_cmp(kind, term, rng.getrandbits(rng.choice(
+                (4, 8, 32))))
+            if not isinstance(constraint, int):
+                constraints.append(constraint)
+        solver = Solver()
+        symbols = sorted(set().union(*(c.symbols() for c in constraints))) \
+            if constraints else []
+        pools = {0: solver._mine_candidates(constraints),
+                 1: list(range(rng.randint(1, 40))),
+                 2: [rng.getrandbits(32) for _ in range(70)]}
+        candidates = pools[rng.randrange(3)]
+        base = {name: rng.getrandbits(8) for name in symbols
+                if rng.random() < 0.5}
+        return solver, constraints, symbols, candidates, base
+
+    def test_matches_reference(self):
+        outcomes = set()
+        short_multi = 0
+        for seed in range(120):
+            solver, constraints, symbols, candidates, base = \
+                self._query(seed)
+            if not constraints:
+                continue
+            programs = [E.compiled(c) for c in constraints]
+            expected = _reference_random_search(
+                solver, constraints, programs, symbols, candidates, base)
+            actual = solver._random_search(constraints, programs, symbols,
+                                           candidates, base)
+            if expected is None:
+                assert actual is None, seed
+            else:
+                assert list(actual.items()) == list(expected.items()), seed
+            outcomes.add(expected is None)
+            if len(symbols) > 1 and len(candidates) < 64:
+                short_multi += 1
+        # Both verdicts, and repairs reaching past the first symbol.
+        assert outcomes == {True, False}
+        assert short_multi > 10
+
+    def test_one_symbol_infeasible_runs_fewer_programs(self):
+        x = E.bv_sym("rs_one")
+        constraints = [E.bv_cmp("eq", E.bv_and(x, 0xFFFF), 0x1234),
+                       E.bv_cmp("ne", E.bv_and(x, 0xFFFF), 0x1234)]
+        programs = [E.compiled(c) for c in constraints]
+        solver = Solver()
+        candidates = solver._mine_candidates(constraints)
+
+        def runs(search, *args):
+            before = E.eval_counters()["program_runs"]
+            assert search(*args) is None
+            return E.eval_counters()["program_runs"] - before
+
+        reference = runs(_reference_random_search, solver, constraints,
+                         programs, ["rs_one"], candidates, {})
+        memoized = runs(solver._random_search, constraints, programs,
+                        ["rs_one"], candidates, {})
+        assert memoized < reference
