@@ -15,6 +15,8 @@ Both backends execute one block against an :class:`~repro.ir.interp.IrEnv`
   (:func:`repro.ir.compile.compile_block`), the default everywhere.
 """
 
+from functools import partial
+
 from repro.ir.compile import compile_block
 from repro.ir.interp import run_block
 
@@ -27,6 +29,12 @@ class ExecutionBackend:
 
     name = "base"
 
+    def bind(self, block):
+        """The function ``fn(env) -> BlockResult`` that executes
+        ``block``; callers whose block set never changes resolve each
+        block once and keep the function."""
+        raise NotImplementedError
+
     def run(self, block, env):
         """Execute ``block`` in ``env``; returns a ``BlockResult``."""
         raise NotImplementedError
@@ -37,6 +45,9 @@ class InterpBackend(ExecutionBackend):
 
     name = "interp"
 
+    def bind(self, block):
+        return partial(run_block, block)
+
     def run(self, block, env):
         return run_block(block, env)
 
@@ -45,6 +56,9 @@ class CompiledBackend(ExecutionBackend):
     """Generated-source backend (one Python function per block)."""
 
     name = "compiled"
+
+    def bind(self, block):
+        return compile_block(block)
 
     def run(self, block, env):
         return compile_block(block)(env)

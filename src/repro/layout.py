@@ -14,7 +14,8 @@ The layout mirrors the roles the paper's setup needs:
   call in a real Windows driver.
 """
 
-PAGE_SIZE = 0x1000
+PAGE_SHIFT = 12
+PAGE_SIZE = 1 << PAGE_SHIFT
 PAGE_MASK = PAGE_SIZE - 1
 
 #: Base virtual address where driver text is mapped.

@@ -56,6 +56,11 @@ class SynthesizedDriver:
     import_names: dict              # slot -> OS API name
     #: every recovered basic block: pc -> TranslationBlock
     block_map: dict = field(default_factory=dict)
+    #: backend -> {pc: bound block function}, filled as blocks are
+    #: first reached; the block map never changes after synthesis, so
+    #: each block is resolved through its backend once per module.
+    _dispatch: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     runtime_header = RUNTIME_HEADER
 
@@ -87,7 +92,10 @@ class SynthesizedDriver:
     def run_function(self, entry, env, args, os_interface,
                      max_blocks=200_000, backend=None):
         """Call a recovered function at ``entry`` (stdcall protocol)."""
-        run = get_backend(backend).run
+        backend = get_backend(backend)
+        table = self._dispatch.get(backend)
+        if table is None:
+            table = self._dispatch[backend] = {}
         block_map = self.block_map
         sp = env.regs[REG_SP]
         for value in reversed(args):
@@ -99,28 +107,30 @@ class SynthesizedDriver:
         pc = entry
         blocks_run = 0
         while blocks_run < max_blocks:
-            block = block_map.get(pc)
-            if block is None:
-                raise MissingBlockError(pc)
-            result = run(block, env)
+            fn = table.get(pc)
+            if fn is None:
+                block = block_map.get(pc)
+                if block is None:
+                    raise MissingBlockError(pc)
+                fn = table[pc] = backend.bind(block)
+            result = fn(env)
             blocks_run += 1
-            if result.kind == "halt":
-                raise SynthesisError("synthesized driver executed HALT")
-            if result.kind == "call":
-                slot = import_index(result.target)
+            kind = result.kind
+            pc = result.target
+            if kind == "jump":
+                continue
+            if kind == "call":
+                slot = import_index(pc)
                 if slot is not None:
                     pc = self._os_call(slot, env, os_interface)
                     if pc == RETURN_TO_OS:
                         break
-                    continue
-                pc = result.target
                 continue
-            if result.kind == "ret":
-                if result.target == RETURN_TO_OS:
+            if kind == "ret":
+                if pc == RETURN_TO_OS:
                     break
-                pc = result.target
                 continue
-            pc = result.target
+            raise SynthesisError("synthesized driver executed HALT")
         else:
             raise SynthesisError("synthesized driver exceeded block budget")
         return env.regs[0]

@@ -10,7 +10,9 @@ boundary to classify memory operations (paper section 2).
 from dataclasses import dataclass
 
 from repro.errors import BusError
-from repro.layout import is_mmio
+from repro.layout import MMIO_BASE, MMIO_LIMIT, PAGE_MASK, PAGE_SHIFT, \
+    PAGE_SIZE, is_mmio
+from repro.vm.memory import PACK, UNPACK, WIDTH_MASK
 
 
 @dataclass(frozen=True)
@@ -31,13 +33,49 @@ class MmioRange:
     device: object
 
 
+class _RangeMap(dict):
+    """``address -> claimed range`` (``None`` when unclaimed), filled on
+    the first lookup of each address: one dict lookup per device access,
+    and only the few registers a driver touches take up memory."""
+
+    def __init__(self):
+        super().__init__()
+        self.ranges = []
+
+    def claim(self, entry):
+        for existing in self.ranges:
+            if entry.base < existing.base + existing.size \
+                    and existing.base < entry.base + entry.size:
+                return False
+        self.ranges.append(entry)
+        return True
+
+    def __missing__(self, address):
+        for entry in self.ranges:
+            if entry.base <= address < entry.base + entry.size:
+                self[address] = entry
+                return entry
+        return None
+
+
 class Bus:
-    """Port + MMIO router in front of :class:`~repro.vm.memory.Memory`."""
+    """Port + MMIO router in front of :class:`~repro.vm.memory.Memory`.
+
+    :meth:`mem_read` / :meth:`mem_write` repeat the memory's in-page fast
+    path against the same fast table, so a RAM access costs one Python
+    call; the table never holds an MMIO-window page, so device accesses
+    can never take it.  Port and MMIO lookups are one dict lookup each.
+    """
+
+    #: True when a load/store at ``address`` would hit a device: the
+    #: MMIO-window test itself, with no wrapper frame.
+    is_device_address = staticmethod(is_mmio)
 
     def __init__(self, memory):
         self.memory = memory
-        self._ports = []
-        self._mmio = []
+        self._fast_pages = memory.fast_pages
+        self._ports = _RangeMap()
+        self._mmio = _RangeMap()
         #: Optional observer called as ``(kind, address, width, value,
         #: is_write)`` for every device access; RevNIC's wiretap hooks this.
         self.observer = None
@@ -47,38 +85,22 @@ class Bus:
 
     def attach_ports(self, base, size, device):
         """Claim ``[base, base+size)`` in port space for ``device``."""
-        for existing in self._ports:
-            if base < existing.base + existing.size and existing.base < base + size:
-                raise ValueError("port range overlap at 0x%x" % base)
-        self._ports.append(PortRange(base, size, device))
+        if not self._ports.claim(PortRange(base, size, device)):
+            raise ValueError("port range overlap at 0x%x" % base)
 
     def attach_mmio(self, base, size, device):
         """Claim ``[base, base+size)`` in the MMIO window for ``device``."""
         if not is_mmio(base) or not is_mmio(base + size - 1):
             raise ValueError("MMIO range outside the MMIO window")
-        for existing in self._mmio:
-            if base < existing.base + existing.size and existing.base < base + size:
-                raise ValueError("MMIO range overlap at 0x%x" % base)
-        self._mmio.append(MmioRange(base, size, device))
-
-    def _find_port(self, port):
-        for entry in self._ports:
-            if entry.base <= port < entry.base + entry.size:
-                return entry
-        return None
-
-    def _find_mmio(self, address):
-        for entry in self._mmio:
-            if entry.base <= address < entry.base + entry.size:
-                return entry
-        return None
+        if not self._mmio.claim(MmioRange(base, size, device)):
+            raise ValueError("MMIO range overlap at 0x%x" % base)
 
     # ------------------------------------------------------------------
     # Port I/O
 
     def io_read(self, port, width):
         """Dispatch an ``IN`` instruction."""
-        entry = self._find_port(port)
+        entry = self._ports[port]
         if entry is None:
             raise BusError("IN from unclaimed port 0x%x" % port)
         value = entry.device.io_read(port - entry.base, width)
@@ -87,7 +109,7 @@ class Bus:
 
     def io_write(self, port, width, value):
         """Dispatch an ``OUT`` instruction."""
-        entry = self._find_port(port)
+        entry = self._ports[port]
         if entry is None:
             raise BusError("OUT to unclaimed port 0x%x" % port)
         self._observe("port", port, width, value, True)
@@ -98,8 +120,13 @@ class Bus:
 
     def mem_read(self, address, width):
         """Read memory, routing MMIO-window addresses to devices."""
-        if is_mmio(address):
-            entry = self._find_mmio(address)
+        page = self._fast_pages.get(address >> PAGE_SHIFT)
+        if page is not None:
+            offset = address & PAGE_MASK
+            if offset + width <= PAGE_SIZE:
+                return UNPACK[width](page, offset)[0]
+        elif MMIO_BASE <= address < MMIO_LIMIT:
+            entry = self._mmio[address]
             if entry is None:
                 raise BusError("MMIO read from unclaimed 0x%08x" % address)
             value = entry.device.mmio_read(address - entry.base, width)
@@ -109,18 +136,25 @@ class Bus:
 
     def mem_write(self, address, width, value):
         """Write memory, routing MMIO-window addresses to devices."""
-        if is_mmio(address):
-            entry = self._find_mmio(address)
+        page = self._fast_pages.get(address >> PAGE_SHIFT)
+        if page is not None:
+            offset = address & PAGE_MASK
+            if offset + width <= PAGE_SIZE:
+                value &= WIDTH_MASK[width]
+                memory = self.memory
+                if address < memory.watch_hi \
+                        and address + width > memory.watch_lo:
+                    memory.write_epoch += 1
+                PACK[width](page, offset, value)
+                return
+        elif MMIO_BASE <= address < MMIO_LIMIT:
+            entry = self._mmio[address]
             if entry is None:
                 raise BusError("MMIO write to unclaimed 0x%08x" % address)
             self._observe("mmio", address, width, value, True)
             entry.device.mmio_write(address - entry.base, width, value)
             return
         self.memory.write(address, width, value)
-
-    def is_device_address(self, address):
-        """True when a load/store at ``address`` would hit a device."""
-        return is_mmio(address)
 
     # ------------------------------------------------------------------
     # DMA (devices reading/writing guest RAM directly)

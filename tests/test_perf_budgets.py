@@ -15,9 +15,17 @@ program_runs=915,785 blocks=2087 forks=259; smc91c111
 program_runs=514,447.  The smc91c111 budget guards the solver's random
 fallback, which re-scored every known-failing single-symbol repair on
 each try before it memoized failed repair groups (2,664,488 runs).
+
+The fleet budgets guard the concrete runtime instead: guest RAM
+accesses must stay on the memory's one-lookup fast path (a 16-endpoint
+saturation fleet measured 74 checked-path accesses, nearly all of them
+first writes that create a page, against 33,584 runtime memory ops), and a synthesized module resolves each block once,
+so a second fleet over the same modules compiles nothing.
 """
 
 from repro.eval.runner import get_cache
+from repro.ir.compile import exec_counters
+from repro.net.fabric import FabricRun, build_fleet, build_workload
 
 BUDGETS = {
     "solver_queries": 1700,
@@ -67,3 +75,33 @@ def test_counters_exported_for_all_drivers():
         for counter in BUDGETS:
             assert counter in stats
         assert stats["eval_node_visits"] > 0
+
+
+#: Checked-path memory accesses allowed per runtime memory op.
+CHECKED_ACCESS_SHARE = 0.01
+
+
+def _saturation_fleet():
+    endpoints = build_fleet(build_workload("saturation", 16, 1),
+                            orchestrator=get_cache())
+    FabricRun(endpoints).run()
+    return endpoints
+
+
+def test_fleet_memory_stays_on_fast_path():
+    endpoints = _saturation_fleet()
+    runtimes = [ep.dut._front.runtime for ep in endpoints]
+    mem_ops = sum(runtime.env.mem_ops for runtime in runtimes)
+    checked = sum(runtime.os.machine.memory.checked_accesses
+                  for runtime in runtimes)
+    assert mem_ops > 0
+    assert checked <= CHECKED_ACCESS_SHARE * mem_ops, (
+        "%d of %d guest memory accesses took the checked path -- the "
+        "fast page table regressed (see DESIGN.md)" % (checked, mem_ops))
+
+
+def test_second_fleet_compiles_no_blocks():
+    _saturation_fleet()
+    compiled = exec_counters()["blocks_compiled"]
+    _saturation_fleet()
+    assert exec_counters()["blocks_compiled"] == compiled

@@ -3,17 +3,18 @@
 from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
-from repro.errors import VmFault
+from repro.errors import BusError, MemoryFault, VmFault
 from repro.ir.superblock import SuperblockConfig, superblock_counters
 from repro.isa import Instruction, Op, decode, encode
 from repro.isa.encoding import INSTR_SIZE, NO_REG
-from repro.layout import HEAP_BASE, TEXT_BASE, page_align
+from repro.layout import (HEAP_BASE, MMIO_BASE, MMIO_LIMIT, PAGE_SIZE,
+                          TEXT_BASE, page_align)
 from repro.net.crc import crc32_ethernet
 from repro.net.packet import build_udp_packet, parse_udp_packet
 from repro.symex import expr as E
 from repro.symex.memory import SymMemory
 from repro.symex.solver import Solver
-from repro.vm import Machine
+from repro.vm import Bus, Machine, Memory
 
 reg = st.integers(min_value=0, max_value=15)
 u32 = st.integers(min_value=0, max_value=0xFFFFFFFF)
@@ -252,6 +253,243 @@ class TestSymMemoryProperties:
         child.write(address, 4, value ^ 0xFFFFFFFF)
         assert memory.read(address, 4) == value
         assert child.read(address, 4) == value ^ 0xFFFFFFFF
+
+
+class _RefMemory:
+    """Reference guest memory for the differential below: a flat byte
+    dict behind a region list -- no pages, no fast table, no MMIO
+    knowledge.  It states the contract ``Memory`` must keep."""
+
+    def __init__(self):
+        self.bytes = {}
+        self.regions = []
+        self.written_pages = set()
+        self.write_epoch = 0
+        self.watch = None
+
+    def map(self, base, size):
+        if size <= 0 or any(base < limit and lo < base + size
+                            for lo, limit in self.regions):
+            raise ValueError("bad map")
+        self.regions.append((base, base + size))
+
+    def _check(self, address, size, kind):
+        if not any(lo <= address and address + size <= limit
+                   for lo, limit in self.regions):
+            raise MemoryFault(address, kind)
+
+    def read_bytes(self, address, size):
+        if size == 0:
+            return b""
+        self._check(address, size, "read")
+        return bytes(self.bytes.get(address + i, 0) for i in range(size))
+
+    def write_bytes(self, address, data):
+        if not data:
+            return
+        self._check(address, len(data), "write")
+        if self.watch is not None and address < self.watch[1] \
+                and address + len(data) > self.watch[0]:
+            self.write_epoch += 1
+        for i, byte in enumerate(data):
+            self.bytes[address + i] = byte
+            self.written_pages.add((address + i) // PAGE_SIZE)
+
+    def read(self, address, width):
+        return int.from_bytes(self.read_bytes(address, width), "little")
+
+    def write(self, address, width, value):
+        self._check(address, width, "write")
+        mask = (1 << (8 * width)) - 1
+        self.write_bytes(address, (value & mask).to_bytes(width, "little"))
+
+    def watch_code_span(self, lo, hi):
+        if self.watch is None:
+            self.watch = (lo, hi)
+        else:
+            self.watch = (min(self.watch[0], lo), max(self.watch[1], hi))
+
+
+class _RefBus:
+    """Reference bus: MMIO-window addresses go to the claimed device
+    range or fault; everything else is reference memory."""
+
+    def __init__(self, memory, device_base, device_size):
+        self.memory = memory
+        self.device = range(device_base, device_base + device_size)
+        self.device_base = device_base
+        self.observed = []
+
+    def mem_read(self, address, width):
+        if MMIO_BASE <= address < MMIO_LIMIT:
+            if address not in self.device:
+                raise BusError("unclaimed")
+            value = _MmioDevice.value(address - self.device_base, width)
+            self.observed.append(("mmio", address, width, value, False))
+            return value
+        return self.memory.read(address, width)
+
+    def mem_write(self, address, width, value):
+        if MMIO_BASE <= address < MMIO_LIMIT:
+            if address not in self.device:
+                raise BusError("unclaimed")
+            self.observed.append(("mmio", address, width, value, True))
+            return
+        self.memory.write(address, width, value)
+
+    def dma_read(self, address, size):
+        return self.memory.read_bytes(address, size)
+
+    def dma_write(self, address, data):
+        self.memory.write_bytes(address, data)
+
+
+class _MmioDevice:
+    @staticmethod
+    def value(offset, width):
+        return (offset * 0x01010101 + width) & ((1 << (8 * width)) - 1)
+
+    def mmio_read(self, offset, width):
+        return self.value(offset, width)
+
+    def mmio_write(self, offset, width, value):
+        pass
+
+
+#: Candidate regions: whole pages first, then half pages, a region that
+#: straddles a page edge, a 3-byte sliver, one running into the MMIO
+#: window and one inside it (plain memory there is never fast, and the
+#: bus never routes the window to RAM).
+_MEM_REGIONS = [(0x1000, 0x1000), (0x2000, 0x2000), (0x4000, 0x1000),
+                (0x0, 0x800), (0x800, 0x800), (0x1800, 0x1000),
+                (0x2FFE, 3), (0x5000, 0x1802), (MMIO_BASE - 0x1000, 0x2000),
+                (MMIO_BASE + 0x1000, 0x1000)]
+#: Typed accesses weigh double.
+_MEM_KINDS = ["map", "read", "read", "write", "write", "read_bytes",
+              "write_bytes", "watch"]
+
+
+def _draw_op(data, ref):
+    """One random op.  Addresses cluster around the edges of the regions
+    mapped so far, the page edges inside them and the MMIO device range,
+    where the fast table's invariant has its corner cases."""
+    kind = data.draw(st.sampled_from(_MEM_KINDS)) if ref.regions else "map"
+    if kind == "map":
+        return ("map", data.draw(st.sampled_from(_MEM_REGIONS)))
+    edges = {MMIO_BASE, MMIO_BASE + 0x100}
+    for lo, hi in ref.regions:
+        edges.update((lo, hi))
+        edges.update(range(page_align(lo), hi, PAGE_SIZE))
+    address = (data.draw(st.sampled_from(sorted(edges)))
+               + data.draw(st.integers(min_value=-6, max_value=6))) \
+        & 0xFFFFFFFF
+    if kind == "read":
+        return (kind, address, data.draw(st.sampled_from([1, 2, 4])))
+    if kind == "write":
+        return (kind, address, data.draw(st.sampled_from([1, 2, 4])),
+                data.draw(u32))
+    if kind == "read_bytes":
+        return (kind, address,
+                data.draw(st.sampled_from([0, 1, 3, 8, 0x1003])))
+    if kind == "write_bytes":
+        return (kind, address, data.draw(st.binary(max_size=12)))
+    return (kind, address, data.draw(st.integers(min_value=1,
+                                                 max_value=0x20)))
+
+
+def _apply(bus, op):
+    """Run one access op through ``bus`` (real or reference); the
+    outcome, faults included."""
+    accessor = {"read": bus.mem_read, "write": bus.mem_write,
+                "read_bytes": bus.dma_read, "write_bytes": bus.dma_write}
+    try:
+        return accessor[op[0]](*op[1:])
+    except MemoryFault as exc:
+        return ("MemoryFault", exc.address, exc.kind)
+    except BusError:
+        return ("BusError",)
+
+
+def _drive(memory, ref, op):
+    """One op on a ``Memory`` and on the reference; both outcomes."""
+    kind = op[0]
+    if kind == "map":
+        outcomes = []
+        for target in (memory.map_region, ref.map):
+            try:
+                target(*op[1])
+                outcomes.append(None)
+            except ValueError:
+                outcomes.append("ValueError")
+        return outcomes
+    if kind == "watch":
+        memory.watch_code_span(op[1], op[1] + op[2])
+        ref.watch_code_span(op[1], op[1] + op[2])
+        return [None, None]
+    outcomes = []
+    for target in (memory, ref):
+        try:
+            outcomes.append(getattr(target, kind)(*op[1:]))
+        except MemoryFault as exc:
+            outcomes.append(("MemoryFault", exc.address, exc.kind))
+    return outcomes
+
+
+def _assert_same_state(memory, ref):
+    assert memory.write_epoch == ref.write_epoch
+    # Reads never create pages: exactly the written pages exist.
+    expected = {number: bytearray(PAGE_SIZE) for number in ref.written_pages}
+    for address, byte in ref.bytes.items():
+        expected[address // PAGE_SIZE][address % PAGE_SIZE] = byte
+    pages = memory.snapshot_pages()
+    assert pages == {number: bytes(page)
+                     for number, page in expected.items()}
+    # The fast-table invariant: exactly the existing pages that lie
+    # wholly inside one region and outside the MMIO window.
+    fast = {number for number in pages
+            if memory.is_mapped(number * PAGE_SIZE, PAGE_SIZE)
+            and not (number * PAGE_SIZE < MMIO_LIMIT
+                     and MMIO_BASE < (number + 1) * PAGE_SIZE)}
+    assert set(memory.fast_pages) == fast
+    assert all(memory.fast_pages[number] == pages[number]
+               for number in fast)
+
+
+class TestMemoryBusDifferential:
+    """``Memory`` and ``Bus`` against a small flat reference model:
+    values, ``MemoryFault`` address and kind, ``write_epoch`` and the
+    page set, over random op sequences that straddle pages and regions,
+    map regions next to pages already written, and hit the MMIO window.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), steps=st.integers(min_value=1, max_value=40))
+    def test_memory_matches_reference(self, data, steps):
+        memory, ref = Memory(), _RefMemory()
+        for _ in range(steps):
+            op = _draw_op(data, ref)
+            mine, theirs = _drive(memory, ref, op)
+            assert mine == theirs, op
+            _assert_same_state(memory, ref)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data(), steps=st.integers(min_value=1, max_value=40))
+    def test_bus_matches_reference(self, data, steps):
+        memory, ref_memory = Memory(), _RefMemory()
+        bus = Bus(memory)
+        bus.attach_mmio(MMIO_BASE, 0x100, _MmioDevice())
+        observed = []
+        bus.observer = lambda *event: observed.append(event)
+        ref = _RefBus(ref_memory, MMIO_BASE, 0x100)
+        for _ in range(steps):
+            op = _draw_op(data, ref_memory)
+            if op[0] in ("map", "watch"):
+                mine, theirs = _drive(memory, ref_memory, op)
+            else:
+                mine, theirs = _apply(bus, op), _apply(ref, op)
+            assert mine == theirs, op
+            assert observed == ref.observed
+            _assert_same_state(memory, ref_memory)
 
 
 class TestChecksumProperties:
