@@ -11,10 +11,8 @@ which CI uploads as an artifact; ``benchmarks/BENCH_pipeline.baseline.json``
 is the committed baseline the perf trajectory is tracked against.
 """
 
-import json
-import os
-
 import pytest
+from benchlib import write_bench
 
 from repro.eval.runner import get_cache
 
@@ -23,8 +21,6 @@ _BENCH_COUNTERS = ("wall_seconds", "blocks_executed", "exec_fast_blocks",
                    "solver_cache_hits", "solver_fast_path_hits",
                    "eval_program_runs", "eval_node_visits",
                    "hw_reads", "hw_writes")
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _emit_bench_json(orchestrator, artifacts):
@@ -65,11 +61,7 @@ def _emit_bench_json(orchestrator, artifacts):
     else:
         report["warm_load_wall_seconds"] = None
         report["cold_compute_wall_seconds"] = wall
-    path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
-    return path
+    write_bench(report)
 
 
 @pytest.fixture(scope="session")

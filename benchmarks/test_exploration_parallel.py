@@ -24,18 +24,16 @@ in one process would time a warm serial side against cold workers, a
 different quantity (see ROADMAP item 1).
 """
 
-import json
 import os
 import time
 
 import pytest
+from benchlib import update_bench
 
 from repro.drivers import build_driver, device_class
 from repro.pipeline.artifact import build_artifact, canonical_json
 from repro.revnic import RevNic, RevNicConfig
 from repro.synth import synthesize
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: rtl8139 has the largest eval/solver volume in the corpus -- the run
 #: long enough for fan-out to amortize worker spawn.
@@ -47,18 +45,6 @@ MIN_SPEEDUP = 1.5
 PROBE_SECONDS = 0.25
 
 _RECORD = {}
-
-
-def _update_bench():
-    path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
-    report = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            report = json.load(handle)
-    report["exploration_parallel"] = dict(_RECORD)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def _busy_cores(cores):
@@ -112,7 +98,7 @@ def test_exploration_parallel_gate(cache):
         _RECORD["scaling"]["skipped"] = \
             "single-core runner (os.cpu_count()=%d): sharded and " \
             "serial would time the same CPU" % cores
-        _update_bench()
+        update_bench("exploration_parallel", _RECORD)
         pytest.skip("exploration scaling gate needs 2+ cores, have %d"
                     % cores)
 
@@ -143,7 +129,7 @@ def test_exploration_parallel_gate(cache):
             "busy host: a load probe found %d of %d cores free of other " \
             "processes; a 2-worker speedup cannot be measured" \
             % (min(free), cores)
-    _update_bench()
+    update_bench("exploration_parallel", _RECORD)
     assert sharded_bytes == serial_bytes, \
         "sharded exploration changed artifact bytes"
     assert front["fallbacks"] == 0, \

@@ -23,15 +23,13 @@ Three experiments, all landing under ``fabric`` in
 baseline for trajectory tracking.
 """
 
-import json
-import os
 import time
+
+from benchlib import update_bench
 
 from repro.net.fabric import (FabricRun, build_fleet, build_report,
                               build_workload, canonical_fabric_json,
                               run_fleet)
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Fixed seed for every fabric bench: the reports are replayable records.
 SEED = 0xFAB51
@@ -43,18 +41,6 @@ GATE_SPREAD = 512
 #: Accumulated across the tests in this module; merged into the bench
 #: report as each test completes, so partial runs still record.
 _RECORD = {}
-
-
-def _update_bench():
-    path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
-    report = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            report = json.load(handle)
-    report["fabric"] = dict(_RECORD)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def _timed_run(cache, plan, mode):
@@ -99,7 +85,7 @@ def test_batched_beats_lockstep(cache):
         "batched_polls": runs["batched"].polls,
         "lockstep_polls": runs["lockstep"].polls,
     }
-    _update_bench()
+    update_bench("fabric", _RECORD)
     assert best["batched"] < best["lockstep"], \
         "batched (%.3fs) not faster than lockstep (%.3fs)" \
         % (best["batched"], best["lockstep"])
@@ -125,7 +111,7 @@ def test_report_bytes_stable_across_runs_and_parallel(cache, monkeypatch):
         "runs": len(canons),
         "byte_identical": True,
     }
-    _update_bench()
+    update_bench("fabric", _RECORD)
 
 
 def test_scale_sweep(cache):
@@ -165,7 +151,7 @@ def test_scale_sweep(cache):
                 "ticks": report["ticks"],
             }
     _RECORD["scale_sweep"] = sweep
-    _update_bench()
+    update_bench("fabric", _RECORD)
     # Scaling sanity: 16x the fleet must move more than 2x the frames.
     for backend in sweep:
         small = sweep[backend]["16"]["frames_switched"]

@@ -15,13 +15,10 @@ test), absorbed faults show up in the resilience report, and a single
 faulted job never forces a serial recompute of healthy jobs.
 """
 
-import json
-import os
+from benchlib import update_bench
 
 from repro.faults.campaign import ChaosCampaign
 from repro.faults.plan import PERSISTENT, FaultPlan, FaultSpec
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 #: Two quick-script drivers keep the cold recomputes affordable while
 #: still giving the pool real fan-out to supervise.
@@ -43,18 +40,6 @@ PLANS = (
         FaultSpec(layer="run", kind="guest_os_error", target=1,
                   attempts=PERSISTENT),)),
 )
-
-
-def _update_bench(record):
-    path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
-    report = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            report = json.load(handle)
-    report["fault_campaign"] = record
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def test_fault_campaign_recovery_overhead():
@@ -105,7 +90,7 @@ def test_fault_campaign_recovery_overhead():
         "pool", "serial-fallback")
 
     baseline = summary["baseline_seconds"]
-    _update_bench({
+    update_bench("fault_campaign", {
         "drivers": list(DRIVERS),
         "script": "quick",
         "baseline_seconds": baseline,

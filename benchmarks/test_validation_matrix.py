@@ -15,29 +15,14 @@ Two experiments:
 Both land in ``BENCH_pipeline.json`` under the ``validation_matrix`` key.
 """
 
-import json
-import os
+from benchlib import update_bench
 
 from repro.pipeline import ArtifactStore, PipelineOrchestrator
 from repro.validate import ValidationMatrix
 
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
 #: Accumulated across the tests in this module; merged into the bench
 #: report as each test completes, so partial runs still record.
 _RECORD = {}
-
-
-def _update_bench():
-    path = os.path.join(_REPO_ROOT, "BENCH_pipeline.json")
-    report = {}
-    if os.path.exists(path):
-        with open(path) as handle:
-            report = json.load(handle)
-    report["validation_matrix"] = dict(_RECORD)
-    with open(path, "w") as handle:
-        json.dump(report, handle, indent=1, sort_keys=True)
-        handle.write("\n")
 
 
 def test_full_matrix_equivalence(cache):
@@ -60,7 +45,7 @@ def test_full_matrix_equivalence(cache):
               for d in result.drivers for o in result.os_names
               if result.cell(d, o).status == "unsupported")
     _RECORD["summary"] = summary
-    _update_bench()
+    update_bench("validation_matrix", _RECORD)
 
 
 def test_cold_vs_warm_matrix(tmp_path):
@@ -83,7 +68,7 @@ def test_cold_vs_warm_matrix(tmp_path):
     _RECORD["cold_mode"] = cold_result.mode
     _RECORD["warm_wall_seconds"] = round(warm_result.wall_seconds, 3)
     _RECORD["warm_mode"] = warm_result.mode
-    _update_bench()
+    update_bench("validation_matrix", _RECORD)
 
     assert warm_result.wall_seconds < 0.5 * cold_result.wall_seconds, \
         "warm %.2fs vs cold %.2fs" % (warm_result.wall_seconds,

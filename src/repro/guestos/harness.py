@@ -16,15 +16,12 @@ class DriverHarness:
     """Boots a driver binary against a device model and drives it."""
 
     def __init__(self, image, device_cls, mac=b"\x52\x54\x00\x12\x34\x56",
-                 exec_backend="compiled", exec_superblocks=None):
+                 exec_backend="compiled"):
         """``exec_backend`` picks the CPU tier the binary runs on:
         ``"compiled"`` (default, DBT + generated-source blocks),
         ``"interp"`` (DBT + tree-walker) or ``"step"``/``None`` (the
-        per-instruction interpreter).  ``exec_superblocks`` gates the
-        superblock tier on the compiled backend (``None`` follows the
-        ``REVNIC_SUPERBLOCKS`` environment default)."""
-        self.machine = Machine(exec_backend=exec_backend,
-                               exec_superblocks=exec_superblocks)
+        per-instruction interpreter)."""
+        self.machine = Machine(exec_backend=exec_backend)
         self.medium = Medium()
         self.device = device_cls(mac, medium=self.medium)
         self.medium.attach(self.device)

@@ -32,11 +32,7 @@ from repro.ir.nodes import (
 )
 from repro.ir.printer import format_block, format_op
 from repro.ir.interp import IrEnv, run_block
-from repro.ir.compile import (block_source, compile_block, compile_source,
-                              exec_counters)
-from repro.ir.superblock import (Superblock, SuperblockConfig,
-                                 SuperblockManager, superblock_counters,
-                                 superblock_source, superblocks_enabled)
+from repro.ir.compile import block_source, compile_block, exec_counters
 from repro.ir.backend import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -73,14 +69,7 @@ __all__ = [
     "run_block",
     "block_source",
     "compile_block",
-    "compile_source",
     "exec_counters",
-    "Superblock",
-    "SuperblockConfig",
-    "SuperblockManager",
-    "superblock_counters",
-    "superblock_source",
-    "superblocks_enabled",
     "BACKENDS",
     "DEFAULT_BACKEND",
     "CompiledBackend",

@@ -22,11 +22,6 @@ lifetime *is* block lifetime: a :class:`~repro.dbt.translator.Translator`
 that retranslates a patched block produces a fresh block object and
 therefore a fresh compiled function -- the mid-block-patch invalidation
 semantics come for free.
-
-The op lowering in :func:`_emit_op` is shared with the superblock
-code generator (:mod:`repro.ir.superblock`), which subclasses
-:class:`_Writer` to retarget the counter sinks at local accumulators and
-wrap returns in the chain-exit protocol.
 """
 
 from repro.errors import VmFault
@@ -68,18 +63,7 @@ def exec_counters():
 
 
 class _Writer:
-    """Accumulates body lines plus the deferred ops_retired flushes.
-
-    The class attributes name the counter sinks the emitted statements
-    increment; the superblock writer retargets them at local accumulators
-    (flushed once in a ``finally``) and overrides :meth:`wrap_return` /
-    :meth:`after_store` for the chain-exit protocol and the self-patch
-    store guard.
-    """
-
-    ops_target = "env.ops_retired"
-    io_target = "env.io_ops"
-    mem_target = "env.mem_ops"
+    """Accumulates body lines plus the deferred ops_retired flushes."""
 
     def __init__(self):
         self.lines = []
@@ -97,21 +81,13 @@ class _Writer:
         count = self.pending + including
         self.pending = 0
         if count:
-            self.line("%s += %d" % (self.ops_target, count))
+            self.line("env.ops_retired += %d" % count)
 
     def const(self, prefix, expr):
         """Bind source expression ``expr`` as a module-level constant."""
         name = "_%s%d" % (prefix, len(self.consts))
         self.consts.append((name, expr))
         return name
-
-    def wrap_return(self, expr):
-        """The return statement delivering ``expr`` as the block result."""
-        return "return " + expr
-
-    def after_store(self, address_ref):
-        """Hook invoked after every emitted store; the superblock writer
-        guards writes into the chain's own code span here."""
 
 
 def _signed(ref):
@@ -166,53 +142,51 @@ def _emit_op(w, op):
         w.line("mem_write(%s, %d, %s)"
                % (t % op.addr, op.width, t % op.src))
         _emit_access_count(w, t % op.addr)
-        w.after_store(t % op.addr)
         return False
     elif isinstance(op, N.IrIn):
         w.used.add("io_read")
         w.flush(including=1)
         w.line(t % op.dst + " = io_read(%s, %d)" % (t % op.port, op.width))
-        w.line("%s += 1" % w.io_target)
+        w.line("env.io_ops += 1")
         return False
     elif isinstance(op, N.IrOut):
         w.used.add("io_write")
         w.flush(including=1)
         w.line("io_write(%s, %d, %s)" % (t % op.port, op.width, t % op.src))
-        w.line("%s += 1" % w.io_target)
+        w.line("env.io_ops += 1")
         return False
     elif isinstance(op, N.IrJump):
         w.flush(including=1)
         if op.indirect:
-            w.line(w.wrap_return("BlockResult(\"jump\", %s)"
-                                 % (t % op.target,)))
+            w.line("return BlockResult(\"jump\", %s)" % (t % op.target,))
         else:
-            w.line(w.wrap_return(w.const(
-                "j", "BlockResult(\"jump\", %d)" % op.target)))
+            w.line("return " + w.const(
+                "j", "BlockResult(\"jump\", %d)" % op.target))
         return True
     elif isinstance(op, N.IrCondJump):
         w.flush(including=1)
         taken = w.const("j", "BlockResult(\"jump\", %d)" % op.target)
         fall = w.const("j", "BlockResult(\"jump\", %d)" % op.fallthrough)
-        w.line(w.wrap_return("%s if %s else %s" % (taken, t % op.cond, fall)))
+        w.line("return %s if %s else %s" % (taken, t % op.cond, fall))
         return True
     elif isinstance(op, N.IrCall):
         w.flush(including=1)
         if op.indirect:
-            w.line(w.wrap_return("BlockResult(\"call\", %s, %d)"
-                                 % (t % op.target, op.return_pc)))
+            w.line("return BlockResult(\"call\", %s, %d)"
+                   % (t % op.target, op.return_pc))
         else:
-            w.line(w.wrap_return(w.const(
+            w.line("return " + w.const(
                 "c", "BlockResult(\"call\", %d, %d)"
-                % (op.target, op.return_pc))))
+                % (op.target, op.return_pc)))
         return True
     elif isinstance(op, N.IrRet):
         w.flush(including=1)
-        w.line(w.wrap_return("BlockResult(\"ret\", %s, cleanup=%d)"
-                             % (t % op.addr, op.cleanup)))
+        w.line("return BlockResult(\"ret\", %s, cleanup=%d)"
+               % (t % op.addr, op.cleanup))
         return True
     elif isinstance(op, N.IrHalt):
         w.flush(including=1)
-        w.line(w.wrap_return(w.const("h", "BlockResult(\"halt\")")))
+        w.line("return " + w.const("h", "BlockResult(\"halt\")"))
         return True
     else:  # pragma: no cover - node set is closed
         raise TypeError("cannot compile IR op %r" % (op,))
@@ -222,9 +196,9 @@ def _emit_op(w, op):
 
 def _emit_access_count(w, address_ref):
     w.line("if is_dev(%s):" % address_ref)
-    w.line("    %s += 1" % w.io_target)
+    w.line("    env.io_ops += 1")
     w.line("else:")
-    w.line("    %s += 1" % w.mem_target)
+    w.line("    env.mem_ops += 1")
 
 
 _BINDINGS = {
@@ -254,8 +228,8 @@ def block_source(block):
     if not terminated:
         # A block with no terminator falls through (split-block heads).
         w.flush()
-        w.line(w.wrap_return(w.const(
-            "f", "BlockResult(\"jump\", %d)" % block.end_pc)))
+        w.line("return " + w.const(
+            "f", "BlockResult(\"jump\", %d)" % block.end_pc))
 
     header = ["%s = %s" % pair for pair in w.consts]
     header += ["def _block(env):",
@@ -265,24 +239,13 @@ def block_source(block):
     return "\n".join(header + w.lines) + "\n"
 
 
-def compile_source(source, name, filename, extra=None):
-    """Exec generated ``source`` and return the function bound to
-    ``name``.  The namespace carries the shared counter cells plus
-    whatever ``extra`` bindings the caller needs (superblocks bind
-    their counter cells)."""
+def _compile_block(block):
     namespace = {"_c": _COUNTER_CELLS, "VmFault": VmFault,
                  "BlockResult": BlockResult}
-    if extra:
-        namespace.update(extra)
-    exec(compile(source, filename, "exec"), namespace)
-    return namespace[name]
-
-
-def _compile_block(block):
-    fn = compile_source(block_source(block), "_block",
-                        "<block-0x%08x>" % block.pc)
+    exec(compile(block_source(block), "<block-0x%08x>" % block.pc, "exec"),
+         namespace)
     _COUNTER_CELLS[0] += 1
-    return fn
+    return namespace["_block"]
 
 
 #: Content-addressed program cache shared across translators: two block

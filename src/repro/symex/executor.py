@@ -21,10 +21,6 @@ on or off.
 
 The fast path compiles blocks through :func:`repro.ir.compile.compile_block`,
 the same per-block code generator every compiled consumer uses.
-Superblock chaining is deliberately *not* applied here -- per-block
-stepping (``count_block``, ``blocks_executed``, the per-block tracer
-records) is part of the artifact byte contract, and fusing blocks would
-change it.
 """
 
 from dataclasses import dataclass

@@ -217,12 +217,11 @@ class OriginalDut(DriverUnderTest):
     side = "original"
 
     def __init__(self, driver_name, mac=VALIDATION_MAC,
-                 exec_backend="compiled", exec_superblocks=None):
+                 exec_backend="compiled"):
         super().__init__(driver_name, mac)
         self._front = DriverHarness(build_driver(driver_name),
                                     device_class(driver_name), mac=mac,
-                                    exec_backend=exec_backend,
-                                    exec_superblocks=exec_superblocks)
+                                    exec_backend=exec_backend)
 
     @property
     def medium(self):

@@ -140,12 +140,7 @@ class Bus:
         if page is not None:
             offset = address & PAGE_MASK
             if offset + width <= PAGE_SIZE:
-                value &= WIDTH_MASK[width]
-                memory = self.memory
-                if address < memory.watch_hi \
-                        and address + width > memory.watch_lo:
-                    memory.write_epoch += 1
-                PACK[width](page, offset, value)
+                PACK[width](page, offset, value & WIDTH_MASK[width])
                 return
         elif MMIO_BASE <= address < MMIO_LIMIT:
             entry = self._mmio[address]

@@ -59,20 +59,12 @@ class Cpu:
     ``exec_backend`` selects the execution tier: ``None`` / ``"step"`` for
     the per-instruction interpreter, ``"compiled"`` / ``"interp"`` (or an
     :class:`~repro.ir.backend.ExecutionBackend`) for DBT mode.
-
-    ``exec_superblocks`` controls the superblock tier layered on the
-    compiled backend: ``None`` follows the ``REVNIC_SUPERBLOCKS``
-    environment default, ``True``/``False`` force it, and a
-    :class:`~repro.ir.superblock.SuperblockConfig` enables it with
-    explicit formation knobs.
     """
 
-    def __init__(self, bus, import_handler=None, exec_backend=None,
-                 exec_superblocks=None):
+    def __init__(self, bus, import_handler=None, exec_backend=None):
         self.bus = bus
         self.import_handler = import_handler
         self.exec_backend = None if exec_backend == "step" else exec_backend
-        self.exec_superblocks = exec_superblocks
         self.regs = [0] * NUM_REGS
         self.pc = 0
         #: Retired instruction count (performance-model input).
@@ -83,7 +75,6 @@ class Cpu:
         self.mem_ops = 0
         self._decode_cache = {}
         self._translator = None
-        self._sb_manager = None
 
     # ------------------------------------------------------------------
     # Register / stack helpers
@@ -122,8 +113,6 @@ class Cpu:
         self._decode_cache.clear()
         if self._translator is not None:
             self._translator.invalidate()
-        if self._sb_manager is not None:
-            self._sb_manager.invalidate()
 
     # ------------------------------------------------------------------
     # Execution
@@ -145,43 +134,13 @@ class Cpu:
             return exit_info.reason
         return ExitReason.STEP_LIMIT
 
-    def _superblock_manager(self, backend):
-        """The lazily built superblock manager, or ``None`` when the
-        tier is off (non-compiled backend, or disabled by the
-        ``exec_superblocks`` setting / environment default)."""
-        if getattr(backend, "name", None) != "compiled":
-            return None
-        setting = self.exec_superblocks
-        if setting is None:
-            from repro.ir.superblock import superblocks_enabled
-            if not superblocks_enabled():
-                return None
-            config = None
-        elif setting is False:
-            return None
-        elif setting is True:
-            config = None
-        else:
-            config = setting
-        if self._sb_manager is None:
-            from repro.ir.superblock import SuperblockManager
-            self._sb_manager = SuperblockManager(
-                self._translator.get, self.bus.memory.read_bytes,
-                config=config, epoch_source=self.bus.memory)
-        return self._sb_manager
-
     def _run_dbt(self, max_steps):
         """DBT mode: translate once, execute through the backend, chain.
 
         The translator revalidates a cached block's bytes before serving
         it (mid-block patches retranslate); the backend then runs the
         block's compiled function (or tree-walks it) against an adapter
-        that drives this CPU's registers, bus, and counters.  With the
-        compiled backend, hot heads additionally dispatch through the
-        superblock tier (:mod:`repro.ir.superblock`): one fused function
-        covering a profiled chain of blocks, revalidated against guest
-        bytes before every run and exiting at the exact block boundary
-        per-block dispatch would reach on any violated assumption.
+        that drives this CPU's registers, bus, and counters.
         """
         from repro.dbt.translator import Translator
         from repro.ir.backend import get_backend
@@ -189,36 +148,25 @@ class Cpu:
         if self._translator is None:
             self._translator = Translator(self.bus.memory.read_bytes)
         get_block = self._translator.get
-        backend = get_backend(self.exec_backend)
-        run = backend.run
-        manager = self._superblock_manager(backend)
+        run = get_backend(self.exec_backend).run
         # Fresh adapter per run: callers may swap the register list
         # between runs (NdisEnv.invoke restores saved registers).
         env = _CpuEnv(self)
         steps = 0
         try:
             while steps < max_steps:
-                sb = manager.lookup(self.pc) if manager is not None \
-                    else None
-                if sb is not None:
-                    result, members, instrs = sb.fn(env, max_steps - steps)
-                    steps += instrs
-                    last_block = sb.blocks[members - 1]
-                else:
-                    try:
-                        block = get_block(self.pc)
-                    except DecodeError as exc:
-                        # Undecodable first instruction: the per-step
-                        # tier wraps decode failures the same way.
-                        # Fetch faults (MemoryFault from unmapped code)
-                        # propagate raw, exactly like the interpreter's
-                        # _fetch.
-                        raise InvalidInstruction(
-                            "bad instruction at 0x%08x: %s"
-                            % (self.pc, exc)) from exc
-                    result = run(block, env)
-                    steps += len(block.instr_addrs)
-                    last_block = block
+                try:
+                    block = get_block(self.pc)
+                except DecodeError as exc:
+                    # Undecodable first instruction: the per-step tier
+                    # wraps decode failures the same way.  Fetch faults
+                    # (MemoryFault from unmapped code) propagate raw,
+                    # exactly like the interpreter's _fetch.
+                    raise InvalidInstruction(
+                        "bad instruction at 0x%08x: %s"
+                        % (self.pc, exc)) from exc
+                result = run(block, env)
+                steps += len(block.instr_addrs)
                 kind = result.kind
                 if kind == "jump":
                     self.pc = result.target
@@ -232,7 +180,7 @@ class Cpu:
                         # still at the CALL site (ApiCallRecord.caller_pc
                         # reads it); the terminating block's last
                         # instruction is that CALL.
-                        self.pc = last_block.instr_addrs[-1]
+                        self.pc = block.instr_addrs[-1]
                         self.pc = self._dispatch_import(slot)
                 elif kind == "ret":
                     if result.target == RETURN_TO_OS:
@@ -240,7 +188,7 @@ class Cpu:
                         raise CpuExit(ExitReason.RETURNED_TO_OS)
                     self.pc = result.target
                 else:  # halt
-                    self.pc = last_block.instr_addrs[-1]
+                    self.pc = block.instr_addrs[-1]
                     raise CpuExit(ExitReason.HALT)
         except CpuExit as exit_info:
             return exit_info.reason

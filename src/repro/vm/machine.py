@@ -16,11 +16,10 @@ class Machine:
     miniport ISR, which is also how RevNIC injects *symbolic* interrupts).
     """
 
-    def __init__(self, exec_backend=None, exec_superblocks=None):
+    def __init__(self, exec_backend=None):
         self.memory = Memory()
         self.bus = Bus(self.memory)
-        self.cpu = Cpu(self.bus, exec_backend=exec_backend,
-                       exec_superblocks=exec_superblocks)
+        self.cpu = Cpu(self.bus, exec_backend=exec_backend)
         self._irq_handlers = {}
         self._pending_irqs = []
         self.irq_count = 0

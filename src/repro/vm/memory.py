@@ -45,14 +45,6 @@ class Memory:
         #: Accesses that missed the fast table and took the checked path.
         #: Deterministic (a pure function of the access sequence).
         self.checked_accesses = 0
-        #: Bumped whenever a write (CPU store, DMA, loader) intersects
-        #: the watched code span below.  Consumers that cache derived
-        #: views of guest code -- the superblock tier's per-chain byte
-        #: revalidation -- compare epochs to skip re-reading code that
-        #: cannot have changed.  Data writes never bump it.
-        self.write_epoch = 0
-        self.watch_lo = 1   # empty span (lo > hi): nothing watched yet
-        self.watch_hi = 0
 
     # ------------------------------------------------------------------
     # Region management
@@ -108,10 +100,7 @@ class Memory:
         page = self.fast_pages.get(address >> PAGE_SHIFT)
         offset = address & PAGE_MASK
         if page is not None and offset + width <= PAGE_SIZE:
-            value &= WIDTH_MASK[width]
-            if address < self.watch_hi and address + width > self.watch_lo:
-                self.write_epoch += 1
-            PACK[width](page, offset, value)
+            PACK[width](page, offset, value & WIDTH_MASK[width])
             return
         self._check(address, width, "write")
         value &= WIDTH_MASK[width]
@@ -136,8 +125,6 @@ class Memory:
         page = self.fast_pages.get(address >> PAGE_SHIFT)
         offset = address & PAGE_MASK
         if page is not None and offset + size <= PAGE_SIZE:
-            if address < self.watch_hi and address + size > self.watch_lo:
-                self.write_epoch += 1
             page[offset:offset + size] = data
             return
         self._check(address, size, "write")
@@ -172,19 +159,7 @@ class Memory:
             size -= chunk
         return bytes(out)
 
-    def watch_code_span(self, lo, hi):
-        """Grow the watched code span to include ``[lo, hi)``.  One flat
-        span (not a list) keeps the per-write check to two compares; the
-        over-approximation only costs spurious epoch bumps."""
-        if self.watch_lo > self.watch_hi:
-            self.watch_lo, self.watch_hi = lo, hi
-        else:
-            self.watch_lo = min(self.watch_lo, lo)
-            self.watch_hi = max(self.watch_hi, hi)
-
     def _write_raw(self, address, data):
-        if address < self.watch_hi and address + len(data) > self.watch_lo:
-            self.write_epoch += 1
         pos = 0
         while pos < len(data):
             page_number, offset = divmod(address + pos, PAGE_SIZE)

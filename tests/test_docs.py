@@ -1,6 +1,7 @@
 """The documentation set stays healthy: links resolve, referenced paths
-exist, fenced doctest examples execute (same checks as the CI docs job,
-via tools/check_docs.py)."""
+exist, fenced doctest examples execute, and the environment-variable table
+matches the code (same checks as the CI docs job, via
+tools/check_docs.py)."""
 
 import importlib.util
 import os
@@ -30,6 +31,12 @@ def test_links_and_paths_resolve():
     assert check_docs.check_links(_REPO_ROOT) == []
 
 
+def test_env_table_matches_constants():
+    assert check_docs.env_constants(_REPO_ROOT), \
+        "no REVNIC_* constants found: the scan itself is broken"
+    assert check_docs.check_env_table(_REPO_ROOT) == []
+
+
 def test_fenced_doctests_pass():
     assert check_docs.run_doctests(_REPO_ROOT) == []
 
@@ -47,3 +54,21 @@ def test_checker_catches_breakage(tmp_path):
     assert any("src/nope.py" in p for p in link_problems)
     doc_problems = check_docs.run_doctests(str(tmp_path))
     assert len(doc_problems) == 1 and "doctest failure" in doc_problems[0]
+
+
+def test_env_checker_catches_drift(tmp_path):
+    """A constant without a row and a row without a constant are both
+    reported; rows outside the table's section are ignored."""
+    (tmp_path / "src" / "repro").mkdir(parents=True)
+    (tmp_path / "src" / "repro" / "knobs.py").write_text(
+        'LIVE_ENV = "REVNIC_LIVE"\nNEW_ENV = "REVNIC_NEW"\n')
+    (tmp_path / "docs").mkdir()
+    (tmp_path / "docs" / "robustness.md").write_text(
+        "## Environment variables\n\n| variable | default | effect |\n"
+        "|---|---|---|\n| `REVNIC_LIVE` | `1` | x |\n"
+        "| `REVNIC_GONE` | on | y |\n\n## Later\n\n"
+        "| `REVNIC_ELSEWHERE` | - | z |\n")
+    problems = check_docs.check_env_table(str(tmp_path))
+    assert len(problems) == 2
+    assert any("REVNIC_NEW" in p and "no row" in p for p in problems)
+    assert any("REVNIC_GONE" in p for p in problems)

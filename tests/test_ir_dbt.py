@@ -327,7 +327,7 @@ class TestBlockHelpers:
 
 
 # A hot loop whose body crosses two translation blocks (the bltu inside
-# splits it); every superblock regression below chains it.
+# splits it), so step limits land both on and between loop iterations.
 _HOT_LOOP = """
 .export main
 main:
@@ -343,7 +343,7 @@ cont:
 """
 
 # Same loop, but the final iteration stores a word over the back-edge
-# branch -- self-modifying code landing inside the formed chain.
+# branch -- self-modifying code landing inside already-translated code.
 _SELF_PATCH = """
 .export main
 main:
@@ -363,7 +363,7 @@ patchsite:
 """
 
 # The loop divides by a counter that reaches zero on the last trip: the
-# fault is raised from the middle of a hot, already-chained trace.
+# fault is raised from the middle of a hot, already-compiled block.
 _FAULTING_LOOP = """
 .export main
 main:
@@ -379,19 +379,20 @@ body:
 """
 
 
-class TestSuperblockDeopt:
-    """Every guarded assumption a superblock makes must deopt back to
-    per-block semantics bit-for-bit: self-patching stores, mid-chain
-    faults, step-limit boundaries, and ``code_changed()``."""
+class TestDbtBackendsAgree:
+    """The CPU's DBT mode must behave identically on the ``compiled`` and
+    ``interp`` backends bit-for-bit: self-patching stores, mid-block
+    faults, step-limit boundaries, split runs and ``code_changed()``.
+    Both backends dispatch one translation block at a time, so even a
+    step limit stops them at the same block boundary."""
 
     @staticmethod
-    def _run(source, exec_backend, superblocks=False, max_steps=10_000):
+    def _run(source, exec_backend, max_steps=10_000):
         from repro.errors import VmFault
 
         machine = load(source)
         cpu = machine.cpu
         cpu.exec_backend = exec_backend
-        cpu.exec_superblocks = superblocks
         cpu.pc = TEXT_BASE
         reason = fault = None
         try:
@@ -401,115 +402,69 @@ class TestSuperblockDeopt:
         return (str(reason), fault, list(cpu.regs), cpu.pc, cpu.instret,
                 cpu.mem_ops, cpu.io_ops)
 
-    @staticmethod
-    def _hot():
-        from repro.ir import SuperblockConfig
-        return SuperblockConfig(hot_threshold=1)
+    def test_self_patch_identical(self):
+        compiled = self._run(_SELF_PATCH, "compiled")
+        assert compiled == self._run(_SELF_PATCH, "interp")
+        assert compiled[0] == "ExitReason.HALT"
 
-    def test_self_patch_deopts_identically(self):
-        from repro.ir import superblock_counters
-
-        baseline = self._run(_SELF_PATCH, "compiled")
-        before = superblock_counters()
-        fused = self._run(_SELF_PATCH, "compiled", superblocks=self._hot())
-        after = superblock_counters()
-        assert fused == baseline
-        assert after["superblocks_formed"] > before["superblocks_formed"]
-        assert after["superblock_deopts"] > before["superblock_deopts"], \
-            "the store into the chain's own code span must deopt"
-
-    def test_fault_mid_chain_flushes_counters(self):
-        from repro.ir import superblock_counters
-
-        baseline = self._run(_FAULTING_LOOP, "compiled")
-        assert baseline[1] == "VmFault"
-        before = superblock_counters()
-        fused = self._run(_FAULTING_LOOP, "compiled",
-                          superblocks=self._hot())
-        after = superblock_counters()
-        assert fused == baseline
-        assert after["superblock_runs"] > before["superblock_runs"], \
-            "the fault must have been raised from inside a chain"
+    def test_fault_mid_loop_flushes_counters(self):
+        compiled = self._run(_FAULTING_LOOP, "compiled")
+        assert compiled[1] == "VmFault"
+        assert compiled == self._run(_FAULTING_LOOP, "interp")
 
     @pytest.mark.parametrize("limit", [1, 2, 3, 5, 8, 13, 40, 77, 200])
     def test_step_limit_exits_at_same_boundary(self, limit):
-        baseline = self._run(_HOT_LOOP, "compiled", max_steps=limit)
-        fused = self._run(_HOT_LOOP, "compiled", superblocks=self._hot(),
-                          max_steps=limit)
-        assert fused == baseline
+        compiled = self._run(_HOT_LOOP, "compiled", max_steps=limit)
+        assert compiled == self._run(_HOT_LOOP, "interp", max_steps=limit)
 
     def test_interrupted_run_resumes_identically(self):
-        """Stop mid-trace (where an interrupt window would open), then
+        """Stop mid-loop (where an interrupt window would open), then
         resume: the two-leg run must land exactly where one uninterrupted
-        run does, chained or not."""
-        def run_split(superblocks):
+        run does, on either backend."""
+        def run_split(exec_backend):
             machine = load(_HOT_LOOP)
             cpu = machine.cpu
-            cpu.exec_backend = "compiled"
-            cpu.exec_superblocks = superblocks
+            cpu.exec_backend = exec_backend
             cpu.pc = TEXT_BASE
-            cpu.run(max_steps=37)     # mid-chain on the fused path
+            cpu.run(max_steps=37)
             cpu.run(max_steps=10_000)
             return (list(cpu.regs), cpu.pc, cpu.instret)
 
-        whole = self._run(_HOT_LOOP, "compiled", superblocks=self._hot())
-        split = run_split(self._hot())
-        assert run_split(False) == split
+        whole = self._run(_HOT_LOOP, "compiled")
+        split = run_split("compiled")
+        assert run_split("interp") == split
         assert split[0] == whole[2] and split[1] == whole[3] \
             and split[2] == whole[4]
 
-    def test_code_changed_drops_chains(self):
+    @pytest.mark.parametrize("signal", [True, False],
+                             ids=["code_changed", "revalidation"])
+    def test_patch_between_runs_follows_new_bytes(self, signal):
+        """A patch between runs is observed whether or not the loader
+        signals ``code_changed()``: the signal drops every translation,
+        and without it the translator's per-block byte revalidation
+        retranslates the patched block."""
         from repro.isa import INSTR_SIZE, Instruction, Op, encode
 
-        machine = load(_HOT_LOOP)
-        cpu = machine.cpu
-        cpu.exec_backend = "compiled"
-        cpu.exec_superblocks = self._hot()
-        cpu.pc = TEXT_BASE
-        cpu.run()
-        manager = cpu._sb_manager
-        assert manager is not None and manager._supers, \
-            "the hot loop should have formed a chain"
-        # Patch the loop body, signal, and re-run: profile state is gone
-        # and the patched code's behavior is observed.
-        machine.memory.write_bytes(
-            TEXT_BASE + 4 * INSTR_SIZE,
-            encode(Instruction(Op.ADD, 2, 2, imm=5)))
-        cpu.code_changed()
-        assert not manager._supers and not manager._counts
-        cpu.regs[1] = cpu.regs[2] = 0
-        cpu.pc = TEXT_BASE
-        cpu.run()
+        results = []
+        for exec_backend in ("compiled", "interp"):
+            machine = load(_HOT_LOOP)
+            cpu = machine.cpu
+            cpu.exec_backend = exec_backend
+            cpu.pc = TEXT_BASE
+            cpu.run()
+            assert cpu._translator._cache
+            machine.memory.write_bytes(
+                TEXT_BASE + 4 * INSTR_SIZE,
+                encode(Instruction(Op.ADD, 2, 2, imm=5)))
+            if signal:
+                cpu.code_changed()
+                assert not cpu._translator._cache
+            cpu.regs[1] = cpu.regs[2] = 0
+            cpu.pc = TEXT_BASE
+            cpu.run()
+            results.append((list(cpu.regs), cpu.pc, cpu.instret))
+        assert results[0] == results[1]
         expected = self._run(_HOT_LOOP.replace("add r2, r2, 1",
                                                "add r2, r2, 5"),
                              "compiled")
-        assert cpu.regs[2] == expected[2][2]
-
-    def test_stale_chain_revalidation_without_signal(self):
-        """A patch landing between dispatches without ``code_changed()``
-        is caught by per-run byte revalidation: the chain is dropped, the
-        translator retranslates, and execution follows the new bytes."""
-        from repro.isa import INSTR_SIZE, Instruction, Op, encode
-
-        machine = load(_HOT_LOOP)
-        cpu = machine.cpu
-        cpu.exec_backend = "compiled"
-        cpu.exec_superblocks = self._hot()
-        cpu.pc = TEXT_BASE
-        cpu.run()
-        manager = cpu._sb_manager
-        assert any(hasattr(sb, "blocks")
-                   for sb in manager._supers.values())
-        # Patch inside the chain's span; Superblock.validate notices the
-        # stale bytes before the next run, and the translator notices
-        # them per block.
-        machine.memory.write_bytes(
-            TEXT_BASE + 4 * INSTR_SIZE,
-            encode(Instruction(Op.ADD, 2, 2, imm=3)))
-        cpu.regs[1] = cpu.regs[2] = 0
-        cpu.pc = TEXT_BASE
-        cpu.run()
-        expected = self._run(_HOT_LOOP.replace("add r2, r2, 1",
-                                               "add r2, r2, 3"),
-                             "compiled")
-        assert cpu.regs[2] == expected[2][2]
+        assert results[0][0][2] == expected[2][2]

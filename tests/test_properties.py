@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.asm import assemble
 from repro.errors import BusError, MemoryFault, VmFault
-from repro.ir.superblock import SuperblockConfig, superblock_counters
 from repro.isa import Instruction, Op, decode, encode
 from repro.isa.encoding import INSTR_SIZE, NO_REG
 from repro.layout import (HEAP_BASE, MMIO_BASE, MMIO_LIMIT, PAGE_SIZE,
@@ -264,8 +263,6 @@ class _RefMemory:
         self.bytes = {}
         self.regions = []
         self.written_pages = set()
-        self.write_epoch = 0
-        self.watch = None
 
     def map(self, base, size):
         if size <= 0 or any(base < limit and lo < base + size
@@ -288,9 +285,6 @@ class _RefMemory:
         if not data:
             return
         self._check(address, len(data), "write")
-        if self.watch is not None and address < self.watch[1] \
-                and address + len(data) > self.watch[0]:
-            self.write_epoch += 1
         for i, byte in enumerate(data):
             self.bytes[address + i] = byte
             self.written_pages.add((address + i) // PAGE_SIZE)
@@ -302,12 +296,6 @@ class _RefMemory:
         self._check(address, width, "write")
         mask = (1 << (8 * width)) - 1
         self.write_bytes(address, (value & mask).to_bytes(width, "little"))
-
-    def watch_code_span(self, lo, hi):
-        if self.watch is None:
-            self.watch = (lo, hi)
-        else:
-            self.watch = (min(self.watch[0], lo), max(self.watch[1], hi))
 
 
 class _RefBus:
@@ -366,7 +354,7 @@ _MEM_REGIONS = [(0x1000, 0x1000), (0x2000, 0x2000), (0x4000, 0x1000),
                 (MMIO_BASE + 0x1000, 0x1000)]
 #: Typed accesses weigh double.
 _MEM_KINDS = ["map", "read", "read", "write", "write", "read_bytes",
-              "write_bytes", "watch"]
+              "write_bytes"]
 
 
 def _draw_op(data, ref):
@@ -391,10 +379,7 @@ def _draw_op(data, ref):
     if kind == "read_bytes":
         return (kind, address,
                 data.draw(st.sampled_from([0, 1, 3, 8, 0x1003])))
-    if kind == "write_bytes":
-        return (kind, address, data.draw(st.binary(max_size=12)))
-    return (kind, address, data.draw(st.integers(min_value=1,
-                                                 max_value=0x20)))
+    return (kind, address, data.draw(st.binary(max_size=12)))
 
 
 def _apply(bus, op):
@@ -422,10 +407,6 @@ def _drive(memory, ref, op):
             except ValueError:
                 outcomes.append("ValueError")
         return outcomes
-    if kind == "watch":
-        memory.watch_code_span(op[1], op[1] + op[2])
-        ref.watch_code_span(op[1], op[1] + op[2])
-        return [None, None]
     outcomes = []
     for target in (memory, ref):
         try:
@@ -436,7 +417,6 @@ def _drive(memory, ref, op):
 
 
 def _assert_same_state(memory, ref):
-    assert memory.write_epoch == ref.write_epoch
     # Reads never create pages: exactly the written pages exist.
     expected = {number: bytearray(PAGE_SIZE) for number in ref.written_pages}
     for address, byte in ref.bytes.items():
@@ -457,9 +437,9 @@ def _assert_same_state(memory, ref):
 
 class TestMemoryBusDifferential:
     """``Memory`` and ``Bus`` against a small flat reference model:
-    values, ``MemoryFault`` address and kind, ``write_epoch`` and the
-    page set, over random op sequences that straddle pages and regions,
-    map regions next to pages already written, and hit the MMIO window.
+    values, ``MemoryFault`` address and kind and the page set, over random
+    op sequences that straddle pages and regions, map regions next to
+    pages already written, and hit the MMIO window.
     """
 
     @settings(max_examples=150, deadline=None)
@@ -483,7 +463,7 @@ class TestMemoryBusDifferential:
         ref = _RefBus(ref_memory, MMIO_BASE, 0x100)
         for _ in range(steps):
             op = _draw_op(data, ref_memory)
-            if op[0] in ("map", "watch"):
+            if op[0] == "map":
                 mine, theirs = _drive(memory, ref_memory, op)
             else:
                 mine, theirs = _apply(bus, op), _apply(ref, op)
@@ -595,14 +575,13 @@ class TestBackendDifferential:
         assert step == compiled
 
 
-class TestSuperblockDifferential:
-    """Random hot-trace-shaped programs -- a loop body crossing several
+class TestDbtDifferential:
+    """Random loop-shaped programs -- a loop body crossing several
     translation blocks via a conditional fall-through, a direct jump,
-    and the loop back-edge -- must be indistinguishable across all four
-    execution tiers.  The superblock tier keeps its architectural
-    counters in locals and flushes them in ``finally``, so the tuple
-    compared here includes ``instret``/``mem_ops``/``io_ops`` to pin
-    the counter contract under faults as well as on clean exits.
+    and the loop back-edge -- must be indistinguishable across all three
+    execution tiers.  The tuple compared here includes
+    ``instret``/``mem_ops``/``io_ops`` to pin the counter contract under
+    faults as well as on clean exits.
     """
 
     _segment = st.lists(random_instruction(), min_size=1, max_size=8)
@@ -634,43 +613,38 @@ class TestSuperblockDifferential:
         return program
 
     @staticmethod
-    def _run(program, backend, superblocks=False):
+    def _run(program, backend, max_steps=10_000):
         machine = Machine()
         code = b"".join(encode(i) for i in program)
         machine.memory.map_region(TEXT_BASE, page_align(len(code)), "text")
         machine.memory.write_bytes(TEXT_BASE, code)
         cpu = machine.cpu
         cpu.exec_backend = backend
-        cpu.exec_superblocks = superblocks
         cpu.pc = TEXT_BASE
-        fault = None
+        fault = reason = None
         try:
-            cpu.run(max_steps=10_000)
+            reason = cpu.run(max_steps=max_steps)
         except VmFault as exc:
             fault = type(exc).__name__
         arch = (fault, list(cpu.regs), cpu.mem_ops, cpu.io_ops,
                 machine.memory.read_bytes(_SCRATCH, 0x100))
-        return arch, (cpu.pc, cpu.instret)
+        return arch, (reason, cpu.pc, cpu.instret)
 
     @settings(max_examples=40, deadline=None)
     @given(seg_a=_segment, seg_b=_segment, seg_c=_segment,
            trips=st.integers(min_value=2, max_value=4))
-    def test_four_tiers_agree(self, seg_a, seg_b, seg_c, trips):
+    def test_three_tiers_agree(self, seg_a, seg_b, seg_c, trips):
         program = self._build(seg_a, seg_b, seg_c, trips)
         step, _ = self._run(program, None)
         interp, interp_ret = self._run(program, "interp")
         compiled, compiled_ret = self._run(program, "compiled")
-        fused, fused_ret = self._run(
-            program, "compiled",
-            superblocks=SuperblockConfig(hot_threshold=1))
         assert step == interp
         assert step == compiled
-        assert step == fused
-        # instret is charged at block entry in every DBT tier and a
+        # instret is charged at block entry in both DBT backends and a
         # faulting block reports its head pc (the per-step tier counts
-        # and reports the exact instruction), so those two fields are
-        # compared across the three DBT tiers only -- exactly.
-        assert interp_ret == compiled_ret == fused_ret
+        # and reports the exact instruction), so those fields are
+        # compared across the two DBT backends only -- exactly.
+        assert interp_ret == compiled_ret
 
     @settings(max_examples=20, deadline=None)
     @given(seg_a=_segment, seg_b=_segment, seg_c=_segment,
@@ -678,32 +652,12 @@ class TestSuperblockDifferential:
            limit=st.integers(min_value=1, max_value=60))
     def test_step_limit_boundaries_agree(self, seg_a, seg_b, seg_c, trips,
                                          limit):
-        """Stopping mid-superblock at an arbitrary ``max_steps`` must
-        leave exactly the same architectural state as the per-block
-        tier stopping at the same instruction."""
+        """Stopping at an arbitrary ``max_steps`` must leave exactly the
+        same architectural state on both DBT backends: each dispatches
+        whole blocks, so both stop at the same block boundary."""
         program = self._build(seg_a, seg_b, seg_c, trips)
-
-        def run_limited(superblocks):
-            machine = Machine()
-            code = b"".join(encode(i) for i in program)
-            machine.memory.map_region(TEXT_BASE, page_align(len(code)),
-                                      "text")
-            machine.memory.write_bytes(TEXT_BASE, code)
-            cpu = machine.cpu
-            cpu.exec_backend = "compiled"
-            cpu.exec_superblocks = superblocks
-            cpu.pc = TEXT_BASE
-            fault = None
-            reason = None
-            try:
-                reason = cpu.run(max_steps=limit)
-            except VmFault as exc:
-                fault = type(exc).__name__
-            return (reason, fault, list(cpu.regs), cpu.pc, cpu.instret,
-                    cpu.mem_ops, machine.memory.read_bytes(_SCRATCH, 0x100))
-
-        assert run_limited(False) == \
-            run_limited(SuperblockConfig(hot_threshold=1))
+        assert self._run(program, "compiled", max_steps=limit) == \
+            self._run(program, "interp", max_steps=limit)
 
 
 class TestAssemblerProperties:

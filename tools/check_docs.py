@@ -1,8 +1,8 @@
 #!/usr/bin/env python
 """Documentation checker: links resolve, referenced paths exist, fenced
-doctest examples run.
+doctest examples run, the environment-variable table is complete.
 
-Checked files: ``README.md``, ``DESIGN.md`` and ``docs/*.md``.  Three
+Checked files: ``README.md``, ``DESIGN.md`` and ``docs/*.md``.  Four
 passes:
 
 * **markdown links** -- every relative ``[text](target)`` must point at
@@ -13,7 +13,10 @@ passes:
   globs or placeholders) must exist, so prose like ``src/repro/foo.py``
   cannot go stale silently;
 * **doctests** -- every fenced ``python`` block containing ``>>>`` runs
-  under :mod:`doctest` (the CI job provides ``PYTHONPATH=src``).
+  under :mod:`doctest` (the CI job provides ``PYTHONPATH=src``);
+* **environment variables** -- every ``*_ENV = "REVNIC_..."`` constant
+  under ``src/repro`` has a row in the "Environment variables" table of
+  ``docs/robustness.md``, and every row names such a constant.
 
 Exit status 0 when clean; 1 with one line per problem otherwise.
 Run locally:  PYTHONPATH=src python tools/check_docs.py
@@ -35,6 +38,12 @@ _LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 _INLINE_CODE_RE = re.compile(r"(?<!`)`([^`\n]+)`(?!`)")
 _FENCE_RE = re.compile(r"^```")
 _PYTHON_FENCE_RE = re.compile(r"^```python\s*$")
+_ENV_CONST_RE = re.compile(r'^\s*\w+_ENV\s*=\s*"(REVNIC_\w+)"', re.M)
+_ENV_ROW_RE = re.compile(r"^\|\s*`(\w+)`\s*\|", re.M)
+
+#: The doc holding the environment-variable table, and its heading.
+ENV_DOC = os.path.join("docs", "robustness.md")
+_ENV_HEADING = "## Environment variables"
 
 
 def doc_files(root=REPO_ROOT):
@@ -134,8 +143,51 @@ def run_doctests(root=REPO_ROOT):
     return problems
 
 
+def env_constants(root=REPO_ROOT):
+    """``{variable: defining file}`` for every ``*_ENV = "REVNIC_..."``
+    constant under ``src/repro``."""
+    found = {}
+    pattern = os.path.join(root, "src", "repro", "**", "*.py")
+    for path in sorted(glob.glob(pattern, recursive=True)):
+        with open(path) as handle:
+            for name in _ENV_CONST_RE.findall(handle.read()):
+                found.setdefault(name, os.path.relpath(path, root))
+    return found
+
+
+def env_table_rows(root=REPO_ROOT):
+    """Variable names in the first column of the environment-variable
+    table (the section under its heading, up to the next heading)."""
+    path = os.path.join(root, ENV_DOC)
+    if not os.path.exists(path):
+        return []
+    with open(path) as handle:
+        text = handle.read()
+    start = text.find(_ENV_HEADING)
+    if start < 0:
+        return []
+    section = text[start + len(_ENV_HEADING):]
+    end = section.find("\n#")
+    if end >= 0:
+        section = section[:end]
+    return _ENV_ROW_RE.findall(section)
+
+
+def check_env_table(root=REPO_ROOT):
+    """Problems between the ``REVNIC_*`` constants and the table."""
+    constants = env_constants(root)
+    rows = env_table_rows(root)
+    problems = ["%s: %s (%s) has no row in the environment-variable table"
+                % (ENV_DOC, name, constants[name])
+                for name in sorted(set(constants) - set(rows))]
+    problems += ["%s: row %s names no *_ENV constant under src/repro"
+                 % (ENV_DOC, name)
+                 for name in rows if name not in constants]
+    return problems
+
+
 def main():
-    problems = check_links() + run_doctests()
+    problems = check_links() + run_doctests() + check_env_table()
     for problem in problems:
         print(problem)
     files = len(doc_files())
@@ -143,8 +195,8 @@ def main():
         print("FAIL: %d problem(s) across %d documentation files"
               % (len(problems), files))
         return 1
-    print("OK: %d documentation files, links resolve, doctests pass"
-          % files)
+    print("OK: %d documentation files, links resolve, doctests pass, "
+          "environment-variable table complete" % files)
     return 0
 
 
